@@ -1,9 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Reports go to
---out or stdout; diagnostics go to stderr.  Grid evaluation honours the
-MINLEG_WORKERS environment variable (default: available parallelism); worker
-count never changes report bytes.
+Exit codes: 0 success, 1 verification failure (an invalid or malformed family
+document included), 2 usage error.  Reports go to --out or stdout;
+diagnostics go to stderr.  Grids are evaluated in one thread, in fixed-size
+batches; the batch size never changes report bytes.
 """
 
 from __future__ import annotations

@@ -99,13 +99,13 @@ class ImmersionChart:
         return _interleave(comps)
 
     def jet_eval(self, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(F, dF, d2F) with shapes (2n+2,), (2n+2, n), (2n+2, n, n)."""
+        """(F, dF, d2F) with shapes (2n+2,), (2n+2, n), (2n+2, n, n); a stack
+        of points u, shape (N, n), adds a leading axis N to each."""
         u = np.asarray(u, dtype=float)
         comps = self._components(Jet.variables(u))
-        vals = np.asarray([c.val for c in comps], dtype=complex)
-        grads = np.asarray([c.grad for c in comps], dtype=complex)
-        hesss = np.asarray([c.hess for c in comps], dtype=complex)
-        return _interleave(vals), _interleave(grads), _interleave(hesss)
+        axis = u.ndim - 1
+        return tuple(_interleave(np.stack([getattr(c, part) for c in comps], axis=axis), axis)
+                     for part in ("val", "grad", "hess"))
 
     def jacobian(self, u) -> np.ndarray:
         return self.jet_eval(u)[1]
@@ -114,12 +114,11 @@ class ImmersionChart:
         return self.jet_eval(u)[2]
 
 
-def _interleave(comps: np.ndarray) -> np.ndarray:
-    """Stack complex components (m, ...) into reals (2m, ...)."""
-    out = np.empty((2 * comps.shape[0],) + comps.shape[1:])
-    out[0::2] = comps.real
-    out[1::2] = comps.imag
-    return out
+def _interleave(comps: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Stack complex components (..., m, ...) into reals (..., 2m, ...)."""
+    comps = np.asarray(comps, dtype=complex)
+    pairs = np.stack([comps.real, comps.imag], axis=axis + 1)
+    return pairs.reshape(comps.shape[:axis] + (-1,) + comps.shape[axis + 1:])
 
 
 def apply_J(v) -> np.ndarray:
@@ -133,7 +132,7 @@ def apply_J(v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointFrame:
-    """Orthonormal tangent data at a chart point.
+    """Orthonormal tangent data at a chart point (or a stack of points).
 
     e holds the frame vectors as rows; a is the change of basis with
     e_i = sum_s a_is dF/du_s; metric is G_st = <dF_s, dF_t>; vol = sqrt(det G).
@@ -144,33 +143,45 @@ class PointFrame:
     e: np.ndarray
     a: np.ndarray
     metric: np.ndarray
-    vol: float
+    vol: float | np.ndarray
+
+
+def _t(x):
+    """Transpose of each matrix in a stack."""
+    return x.swapaxes(-1, -2)
+
+
+def induced_metric(u, jac) -> tuple[np.ndarray, np.ndarray]:
+    """(G, sqrt(det G)) of the coordinate tangents jac, shape B + (2n+2, n)."""
+    metric = _t(jac) @ jac
+    det = np.linalg.det(metric)
+    if np.any(det <= 0.0):
+        raise DegeneratePointError(f"metric not positive definite at u = {u[det <= 0.0][0].tolist()}")
+    return metric, np.sqrt(det)
 
 
 def _frame_from(u, f, jac) -> PointFrame:
-    n = jac.shape[1]
-    v = jac.T
-    metric = jac.T @ jac
+    n = jac.shape[-1]
+    v = _t(jac)
     e = np.zeros_like(v)
-    coeff = np.zeros((n, n))
+    coeff = np.zeros(v.shape[:-1] + (n,))
     for i in range(n):
-        w = v[i].copy()
-        c = np.zeros(n)
-        c[i] = 1.0
+        w = v[..., i, :].copy()
+        c = np.zeros(coeff.shape[:-1])
+        c[..., i] = 1.0
         for _ in range(2):  # one reorthogonalization pass keeps <e_i,e_j> ~ 1e-15
             for j in range(i):
-                r = float(w @ e[j])
-                w -= r * e[j]
-                c -= r * coeff[j]
-        nrm = float(np.linalg.norm(w))
-        if nrm <= DEGENERACY_TOL * (1.0 + float(np.linalg.norm(v[i]))):
-            raise DegeneratePointError(f"coordinate tangents degenerate at u = {u.tolist()}")
-        e[i] = w / nrm
-        coeff[i] = c / nrm
-    det = float(np.linalg.det(metric))
-    if det <= 0.0:
-        raise DegeneratePointError(f"metric not positive definite at u = {u.tolist()}")
-    return PointFrame(u=u, F=f, e=e, a=coeff, metric=metric, vol=math.sqrt(det))
+                r = (w * e[..., j, :]).sum(axis=-1, keepdims=True)
+                w -= r * e[..., j, :]
+                c -= r * coeff[..., j, :]
+        nrm = np.linalg.norm(w, axis=-1)
+        bad = nrm <= DEGENERACY_TOL * (1.0 + np.linalg.norm(v[..., i, :], axis=-1))
+        if np.any(bad):
+            raise DegeneratePointError(f"coordinate tangents degenerate at u = {u[bad][0].tolist()}")
+        e[..., i, :] = w / nrm[..., None]
+        coeff[..., i, :] = c / nrm[..., None]
+    metric, vol = induced_metric(u, jac)
+    return PointFrame(u=u, F=f, e=e, a=coeff, metric=metric, vol=vol)
 
 
 def frame_at(chart: ImmersionChart, u) -> PointFrame:
@@ -181,9 +192,12 @@ def frame_at(chart: ImmersionChart, u) -> PointFrame:
 
 
 def _sigma_from(frame: PointFrame, hess: np.ndarray) -> np.ndarray:
-    je = apply_J(frame.e)
-    m = np.einsum("ast,ka->stk", hess, je)
-    return np.einsum("is,jt,stk->ijk", frame.a, frame.a, m)
+    # Contractions as stacked matrix products: m_stk = <d2F_st, J e_k>, then
+    # sigma_ijk = sum_s a_is sum_t a_jt m_stk.
+    batch, n = hess.shape[:-3], hess.shape[-1]
+    m = _t(hess.reshape(batch + (-1, n * n))) @ _t(apply_J(frame.e))
+    m = frame.a[..., None, :, :] @ m.reshape(batch + (n, n, n))
+    return (frame.a @ m.reshape(batch + (n, n * n))).reshape(batch + (n, n, n))
 
 
 def sigma_at(chart: ImmersionChart, frame: PointFrame) -> np.ndarray:
@@ -197,62 +211,67 @@ def sigma_at(chart: ImmersionChart, frame: PointFrame) -> np.ndarray:
     return _sigma_from(frame, hess)
 
 
-def sigma_symmetry_defect(sigma: np.ndarray) -> float:
+def sigma_symmetry_defect(sigma: np.ndarray) -> float | np.ndarray:
     """Max deviation of sigma from itself over all six index permutations."""
+    lead = tuple(range(sigma.ndim - 3))
     perms = [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-    return max(float(np.max(np.abs(sigma - np.transpose(sigma, p)))) for p in perms)
+    return np.max([np.max(np.abs(sigma - np.transpose(sigma, lead + tuple(len(lead) + k for k in p))),
+                          axis=(-3, -2, -1)) for p in perms], axis=0)
 
 
-def minimality_residual(sigma: np.ndarray) -> float:
+def minimality_residual(sigma: np.ndarray) -> float | np.ndarray:
     """max_k |sum_i sigma_iik|; zero mean curvature makes every trace vanish."""
-    return float(np.max(np.abs(np.einsum("iik->k", sigma))))
+    return np.max(np.abs(np.einsum("...iik->...k", sigma)), axis=-1)
 
 
-def legendrian_residual(frame: PointFrame) -> float:
+def legendrian_residual(frame: PointFrame) -> float | np.ndarray:
     """Max of |<J e_i, e_j>| and |<J F, e_j>| over the frame."""
     je = apply_J(frame.e)
     jf = apply_J(frame.F)
-    return max(float(np.max(np.abs(je @ frame.e.T))), float(np.max(np.abs(frame.e @ jf))))
+    return np.maximum(np.max(np.abs(je @ _t(frame.e)), axis=(-2, -1)),
+                      np.max(np.abs(frame.e @ jf[..., None]), axis=(-2, -1)))
 
 
 def fundamental_matrix(sigma: np.ndarray) -> np.ndarray:
     """S_lj = sum_ts sigma_tsl sigma_tsj (symmetric PSD by construction)."""
-    s = np.einsum("tsl,tsj->lj", sigma, sigma)
-    return (s + s.T) / 2.0
+    flat = sigma.reshape(sigma.shape[:-3] + (-1, sigma.shape[-1]))
+    s = _t(flat) @ flat
+    return (s + _t(s)) / 2.0
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigen data of a fundamental matrix.
+    """Eigen data of a fundamental matrix (or a stack of them).
 
     lambdas descending; normB2 = trace = |B|^2; pinch = |B|^2 + lambda_2;
     ricci_eigs ascending (mu_i = n - 1 - lambda_i); scalar = n(n-1) - |B|^2.
     """
 
     lambdas: np.ndarray
-    normB2: float
-    pinch: float
+    normB2: float | np.ndarray
+    pinch: float | np.ndarray
     ricci_eigs: np.ndarray
-    scalar: float
+    scalar: float | np.ndarray
 
     @property
     def n(self) -> int:
-        return self.lambdas.size
+        return self.lambdas.shape[-1]
 
 
 def spectrum_of(s: np.ndarray) -> Spectrum:
     s = symmetrize(s)
-    n = s.shape[0]
+    n = s.shape[-1]
     if n < 2:
         raise ValueError("spectrum needs n >= 2 (lambda_2 is used)")
     values = sym_eigen(s).values
-    if values[-1] < -PSD_TOL:
-        raise NonPSDError(f"fundamental matrix has eigenvalue {values[-1]:.3e} < -{PSD_TOL}")
-    norm_b2 = float(values.sum())
+    lowest = np.min(values[..., -1])
+    if lowest < -PSD_TOL:
+        raise NonPSDError(f"fundamental matrix has eigenvalue {lowest:.3e} < -{PSD_TOL}")
+    norm_b2 = values.sum(axis=-1)
     return Spectrum(
         lambdas=values,
         normB2=norm_b2,
-        pinch=norm_b2 + float(values[1]),
+        pinch=norm_b2 + values[..., 1],
         ricci_eigs=(n - 1.0) - values,
         scalar=n * (n - 1.0) - norm_b2,
     )
@@ -313,7 +332,8 @@ def structure_constants_check(norm_b2: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class PointData:
-    """Frame, cubic form, fundamental matrix and spectrum at one chart point."""
+    """Frame, cubic form, fundamental matrix and spectrum at one chart point
+    (or a stack of points)."""
 
     frame: PointFrame
     sigma: np.ndarray
@@ -333,48 +353,32 @@ def point_data(chart: ImmersionChart, u) -> PointData:
 # ---- intrinsic curvature oracle --------------------------------------------
 
 
-def _metric(chart: ImmersionChart, u: np.ndarray) -> np.ndarray:
-    jac = chart.jacobian(u)
-    return jac.T @ jac
-
-
-def _christoffel(chart: ImmersionChart, u: np.ndarray, step: float) -> np.ndarray:
-    n = chart.dim
-    eye = np.eye(n)
-    g = _metric(chart, u)
-    det = float(np.linalg.det(g))
-    if det <= 0.0:
-        raise DegeneratePointError(f"metric not positive definite at u = {u.tolist()}")
-    ginv = np.linalg.inv(g)
-    dg = np.stack(
-        [(_metric(chart, u + step * eye[l]) - _metric(chart, u - step * eye[l])) / (2.0 * step)
-         for l in range(n)]
-    )  # dg[l, s, t] = d_l G_st
-    gamma = 0.5 * (
-        np.einsum("kl,slt->kst", ginv, dg)
-        + np.einsum("kl,tls->kst", ginv, dg)
-        - np.einsum("kl,lst->kst", ginv, dg)
-    )
-    return gamma
-
-
 def scalar_curvature_intrinsic(chart: ImmersionChart, u, step: float = 5e-5) -> float:
     """Scalar curvature from the induced metric alone.
 
     Christoffel symbols come from central differences of G(u) and are
     differenced once more for the curvature contraction, so this route never
     touches sigma or the complex structure; it is the independent oracle for
-    the Gauss-equation relation R = n(n-1) - |B|^2.
+    the Gauss-equation relation R = n(n-1) - |B|^2.  The whole (2n+1)^2-point
+    stencil goes through one batched jet evaluation.
     """
     u = np.asarray(u, dtype=float)
     n = chart.dim
-    eye = np.eye(n)
-    ginv = np.linalg.inv(_metric(chart, u))
-    gamma = _christoffel(chart, u, step)
-    dgamma = np.stack(
-        [(_christoffel(chart, u + step * eye[m], step) - _christoffel(chart, u - step * eye[m], step))
-         / (2.0 * step) for m in range(n)]
-    )  # dgamma[m, k, s, t] = d_m Gamma^k_st
+    h = step * np.eye(n)
+    # centres u, u + h e_m, u - h e_m, each with its stencil c, c + h e_l, c - h e_l
+    centres = np.concatenate([u[None], u + h, u - h])
+    stencil = np.concatenate([centres[:, None], centres[:, None] + h, centres[:, None] - h], axis=1)
+    jac = chart.jacobian(stencil.reshape(-1, n)).reshape(stencil.shape[:2] + (-1, n))
+    metric, _ = induced_metric(stencil, jac)
+    ginvs = np.linalg.inv(metric[:, 0])
+    dg = (metric[:, 1:n + 1] - metric[:, n + 1:]) / (2.0 * step)  # dg[c, l, s, t] = d_l G_st
+    gammas = 0.5 * (
+        np.einsum("ckl,cslt->ckst", ginvs, dg)
+        + np.einsum("ckl,ctls->ckst", ginvs, dg)
+        - np.einsum("ckl,clst->ckst", ginvs, dg)
+    )
+    ginv, gamma = ginvs[0], gammas[0]
+    dgamma = (gammas[1:n + 1] - gammas[n + 1:]) / (2.0 * step)  # d_m Gamma^k_st
     term1 = np.einsum("sskt,kt->", dgamma, ginv)
     term2 = np.einsum("tsks,kt->", dgamma, ginv)
     term3 = np.einsum("ssl,lkt,kt->", gamma, gamma, ginv)

@@ -6,6 +6,10 @@ propagates derivatives through the chain rule, so any map written in jet
 operations comes with first and second partials that are analytic: exact up
 to rounding, with no truncation error.
 
+A jet may carry a batch of points at once (vector-mode propagation): ``val``
+has batch shape B, ``grad`` B + (d,) and ``hess`` B + (d, d), and every
+operation acts pointwise along B; a single point is the case B = ().
+
 Values may be real or complex.  Derivatives are always taken with respect to
 real coordinates, so conjugation acts coefficient-wise and is a legal jet
 operation.  The module-level helpers (:func:`sin`, :func:`cos`, :func:`exp`,
@@ -25,17 +29,20 @@ class Jet:
     __slots__ = ("val", "grad", "hess")
 
     def __init__(self, val, grad, hess):
-        self.val = val
+        self.val = np.asarray(val)
         self.grad = np.asarray(grad)
         self.hess = np.asarray(hess)
 
     @staticmethod
     def variables(u):
-        """Jets for the coordinate functions at the point u."""
+        """Jets for the coordinate functions at the point u, shape (d,), or at
+        each row of u, shape (N, d)."""
         u = np.asarray(u, dtype=float)
-        d = u.size
+        batch, d = u.shape[:-1], u.shape[-1]
         eye = np.eye(d)
-        return [Jet(float(u[i]), eye[i].copy(), np.zeros((d, d))) for i in range(d)]
+        zero = np.zeros(batch + (d, d))
+        return [Jet(u[..., i].copy(), np.broadcast_to(eye[i], batch + (d,)), zero)
+                for i in range(d)]
 
     @staticmethod
     def constant(value, d):
@@ -61,11 +68,13 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            cross = np.outer(self.grad, other.grad)
+            cross = self.grad[..., :, None] * other.grad[..., None, :]
+            sv, ov = self.val[..., None], other.val[..., None]
             return Jet(
                 self.val * other.val,
-                self.grad * other.val + self.val * other.grad,
-                self.hess * other.val + self.val * other.hess + cross + cross.T,
+                self.grad * ov + sv * other.grad,
+                self.hess * ov[..., None] + sv[..., None] * other.hess
+                + cross + cross.swapaxes(-1, -2),
             )
         return Jet(self.val * other, self.grad * other, self.hess * other)
 
@@ -90,7 +99,8 @@ class Jet:
 
 def _chain(x, f0, f1, f2):
     """Compose a scalar function with a jet given f(x), f'(x), f''(x)."""
-    return Jet(f0, f1 * x.grad, f1 * x.hess + f2 * np.outer(x.grad, x.grad))
+    f1, f2 = f1[..., None], f2[..., None, None]
+    return Jet(f0, f1 * x.grad, f1[..., None] * x.hess + f2 * (x.grad[..., :, None] * x.grad[..., None, :]))
 
 
 def sin(x):

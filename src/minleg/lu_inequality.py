@@ -313,8 +313,18 @@ def family_from_text(text: str, strict: bool = True) -> MatrixFamily:
     with unnormalized A_1 or unsorted tails.
     """
     doc = json.loads(text)
-    n = int(doc["n"])
-    mats = [np.asarray(flat, dtype=float).reshape(n, n) for flat in doc["mats"]]
+    if not isinstance(doc, dict) or "n" not in doc or "mats" not in doc:
+        raise FamilyValidationError("family document must be a JSON object with fields 'n' and 'mats'")
+    n = doc["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise FamilyValidationError("field 'n' must be a positive integer")
+    try:
+        mats = [np.asarray(flat, dtype=float).reshape(n, n) for flat in doc["mats"]]
+    except (TypeError, ValueError):
+        raise FamilyValidationError(
+            f"field 'mats' must be a list of matrices, each a list of n*n = {n * n} numbers") from None
+    if not mats or not all(np.all(np.isfinite(a)) for a in mats):
+        raise FamilyValidationError("field 'mats' must hold at least one matrix, with finite entries")
     if strict:
         return MatrixFamily(n=n, mats=np.stack(mats))
     return normalize_family(mats)

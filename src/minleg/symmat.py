@@ -19,13 +19,13 @@ MAX_SWEEPS = 100
 
 
 def symmetrize(a) -> np.ndarray:
-    """Validated symmetric copy of a square matrix (entries averaged)."""
+    """Validated symmetric copy of a square matrix or a stack of them (entries averaged)."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    return (a + a.T) / 2.0
+    return (a + a.swapaxes(-1, -2)) / 2.0
 
 
 def frobenius_inner(a, b) -> float:
@@ -55,11 +55,6 @@ class EigenResult(NamedTuple):
     vectors: np.ndarray  # columns, matching order
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
 def sym_eigen(a, max_sweeps: int = MAX_SWEEPS) -> EigenResult:
     """Eigendecomposition by cyclic Jacobi rotations.
 
@@ -67,36 +62,49 @@ def sym_eigen(a, max_sweeps: int = MAX_SWEEPS) -> EigenResult:
     off-diagonal Frobenius norm drops below JACOBI_TOL * (1 + ||A||_F), so the
     result is deterministic for a given input.  Eigenvalues are returned in
     descending order with stable tie ordering.
+
+    A stack of matrices, shape B + (n, n), is solved in lockstep: at each
+    pivot only the matrices that have not converged and have a nonzero pivot
+    entry rotate, so each matrix sees the rotation sequence of its own solve.
     """
     a = symmetrize(a)
-    n = a.shape[0]
-    stop = JACOBI_TOL * (1.0 + float(np.linalg.norm(a)))
-    q = np.eye(n)
+    batch, n = a.shape[:-2], a.shape[-1]
+    a = a.reshape(-1, n, n)
+    stop = JACOBI_TOL * (1.0 + np.sqrt((a * a).sum(axis=(1, 2))))
+    # The eigenvector matrix Q sits under A in one array, so each column
+    # rotation of A also applies to Q.
+    aq = np.concatenate([a, np.broadcast_to(np.eye(n), a.shape)], axis=1)
+    a, q = aq[:, :n], aq[:, n:]
+    offdiag = ~np.eye(n, dtype=bool)
     for _ in range(max_sweeps + 1):
-        if _offdiag_norm(a) < stop:
+        off = a[:, offdiag]
+        active = np.sqrt((off * off).sum(axis=1)) >= stop
+        if not active.any():
             break
         for p in range(n - 1):
             for r in range(p + 1, n):
-                apr = a[p, r]
-                if apr == 0.0:
+                k = np.flatnonzero(active & (a[:, p, r] != 0.0))
+                if k.size == 0:
                     continue
-                tau = (a[r, r] - a[p, p]) / (2.0 * apr)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # A <- J^T A J with J the rotation in the (p, r) plane.
-                col_p, col_r = a[:, p].copy(), a[:, r].copy()
-                a[:, p] = c * col_p - s * col_r
-                a[:, r] = s * col_p + c * col_r
-                row_p, row_r = a[p, :].copy(), a[r, :].copy()
-                a[p, :] = c * row_p - s * row_r
-                a[r, :] = s * row_p + c * row_r
-                a[p, r] = a[r, p] = 0.0
-                q_p, q_r = q[:, p].copy(), q[:, r].copy()
-                q[:, p] = c * q_p - s * q_r
-                q[:, r] = s * q_p + c * q_r
+                m = aq[k]
+                tau = (m[:, r, r] - m[:, p, p]) / (2.0 * m[:, p, r])
+                t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = (t * c)[:, None]
+                c = c[:, None]
+                # A <- J^T A J with J the rotation in the (p, r) plane; Q <- Q J.
+                col_p, col_r = m[:, :, p].copy(), m[:, :, r]
+                m[:, :, p] = c * col_p - s * col_r
+                m[:, :, r] = s * col_p + c * col_r
+                row_p, row_r = m[:, p, :].copy(), m[:, r, :]
+                m[:, p, :] = c * row_p - s * row_r
+                m[:, r, :] = s * row_p + c * row_r
+                m[:, p, r] = m[:, r, p] = 0.0
+                aq[k] = m
     else:
         raise RuntimeError(f"Jacobi sweeps did not converge within {max_sweeps} sweeps")
-    values = np.diag(a).copy()
-    order = np.argsort(-values, kind="stable")
-    return EigenResult(values[order], q[:, order])
+    values = np.diagonal(a, axis1=1, axis2=2)
+    order = np.argsort(-values, axis=1, kind="stable")
+    values = np.take_along_axis(values, order, axis=1)
+    vectors = np.take_along_axis(q, order[:, None, :], axis=2)
+    return EigenResult(values.reshape(batch + (n,)), vectors.reshape(batch + (n, n)))

@@ -22,9 +22,7 @@ only strengthens the <= 0 assertion.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +30,7 @@ import numpy as np
 from . import __version__
 from .geometry import (
     ImmersionChart,
+    induced_metric,
     legendrian_residual,
     minimality_residual,
     point_data,
@@ -41,7 +40,9 @@ from .geometry import (
 )
 from .zoo import ZooEntry
 
-WORKERS_ENV = "MINLEG_WORKERS"
+# Grid points per batched evaluation.  Every point is computed independently
+# of its chunk, so the chunk size bounds memory and never changes results.
+SWEEP_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -150,50 +151,26 @@ class _SweepData:
     sqrtdetg: np.ndarray
 
 
-def _sweep_range(chart: ImmersionChart, pts: np.ndarray, lo: int, hi: int, out: _SweepData):
-    for i in range(lo, hi):
-        pd = point_data(chart, pts[i])
-        out.lambdas[i] = pd.spectrum.lambdas
-        out.normB2[i] = pd.spectrum.normB2
-        out.pinch[i] = pd.spectrum.pinch
-        out.legendrian[i] = legendrian_residual(pd.frame)
-        out.minimality[i] = minimality_residual(pd.sigma)
-        out.symmetry[i] = sigma_symmetry_defect(pd.sigma)
-        out.sqrtdetg[i] = pd.frame.vol
-
-
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "")
-    if raw.strip():
-        return max(1, int(raw))
-    return os.cpu_count() or 1
+def _chunks(pts: np.ndarray):
+    for lo in range(0, pts.shape[0], SWEEP_CHUNK):
+        yield pts[lo:lo + SWEEP_CHUNK]
 
 
 def _sweep(chart: ImmersionChart, pts: np.ndarray) -> _SweepData:
-    n_pts = pts.shape[0]
-    out = _SweepData(
-        lambdas=np.empty((n_pts, chart.dim)),
-        normB2=np.empty(n_pts),
-        pinch=np.empty(n_pts),
-        legendrian=np.empty(n_pts),
-        minimality=np.empty(n_pts),
-        symmetry=np.empty(n_pts),
-        sqrtdetg=np.empty(n_pts),
-    )
-    workers = _worker_count()
-    if workers <= 1 or n_pts < 256:
-        _sweep_range(chart, pts, 0, n_pts, out)
-        return out
-    bounds = np.linspace(0, n_pts, workers + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_sweep_range, chart, pts, int(lo), int(hi), out)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        for fut in futures:
-            fut.result()
-    return out
+    parts = []
+    for chunk in _chunks(pts):
+        pd = point_data(chart, chunk)
+        parts.append((pd.spectrum.lambdas, pd.spectrum.normB2, pd.spectrum.pinch,
+                      legendrian_residual(pd.frame), minimality_residual(pd.sigma),
+                      sigma_symmetry_defect(pd.sigma), pd.frame.vol))
+    return _SweepData(*(np.concatenate(column) for column in zip(*parts)))
+
+
+def _p1_and_volume(data: _SweepData, wts: np.ndarray) -> tuple[float, float]:
+    """(p1, volume): quadratures of lambda_1 (n + 1 - |B|^2 - lambda_2) dM and of dM."""
+    n = data.lambdas.shape[1]
+    integrand = data.lambdas[:, 0] * (n + 1.0 - data.normB2 - data.lambdas[:, 1])
+    return float(np.sum(integrand * data.sqrtdetg * wts)), float(np.sum(data.sqrtdetg * wts))
 
 
 # ---- reports -----------------------------------------------------------------
@@ -330,18 +307,13 @@ def verify_chart(
         )
 
     spts = sample_points(chart, 20, seed=grid.seed + 7)
-    gauss_gap = 0.0
-    for u in spts:
-        pd = point_data(chart, u)
-        r_intrinsic = scalar_curvature_intrinsic(chart, u)
-        gauss_gap = max(gauss_gap, abs(r_intrinsic - (n * (n - 1.0) - pd.spectrum.normB2)))
-    add("scalar_curvature", gauss_gap, tol.curvature)
+    r_gauss = n * (n - 1.0) - point_data(chart, spts).spectrum.normB2
+    r_intrinsic = [scalar_curvature_intrinsic(chart, u) for u in spts]
+    add("scalar_curvature", np.max(np.abs(r_intrinsic - r_gauss)), tol.curvature)
 
     integrals = {}
     if chart.closed:
-        integrand = data.lambdas[:, 0] * (n + 1.0 - data.normB2 - data.lambdas[:, 1])
-        integrals["p1"] = float(np.sum(integrand * data.sqrtdetg * wts))
-        integrals["volume"] = float(np.sum(data.sqrtdetg * wts))
+        integrals["p1"], integrals["volume"] = _p1_and_volume(data, wts)
         add("integral_p1_nonpositive", max(0.0, integrals["p1"]), tol.quadrature)
 
     spectra = {
@@ -371,21 +343,15 @@ def integral_p1(chart: ImmersionChart, grid: GridSpec | None = None) -> float:
         raise ValueError(f"chart {chart.name} does not cover a closed manifold")
     grid = grid or GridSpec()
     pts, wts = grid_points(chart, grid)
-    data = _sweep(chart, pts)
-    n = chart.dim
-    integrand = data.lambdas[:, 0] * (n + 1.0 - data.normB2 - data.lambdas[:, 1])
-    return float(np.sum(integrand * data.sqrtdetg * wts))
+    return _p1_and_volume(_sweep(chart, pts), wts)[0]
 
 
 def chart_volume(chart: ImmersionChart, grid: GridSpec | None = None) -> float:
     """Quadrature of sqrt(det G); doubling the grid should barely move it."""
     grid = grid or GridSpec()
     pts, wts = grid_points(chart, grid)
-    vols = np.empty(pts.shape[0])
-    for i, u in enumerate(pts):
-        jac = chart.jacobian(u)
-        vols[i] = math.sqrt(float(np.linalg.det(jac.T @ jac)))
-    return float(np.sum(vols * wts))
+    vols = [induced_metric(chunk, chart.jacobian(chunk))[1] for chunk in _chunks(pts)]
+    return float(np.sum(np.concatenate(vols) * wts))
 
 
 QUANTITIES = ("pinch", "normB2", "R_plus_mu2")

@@ -170,6 +170,28 @@ def test_lu_check_invalid_family(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, field", [
+    ('{"mats": []}', "'n'"),
+    ("[1, 2]", "'n'"),
+    ('{"n": 2}', "'mats'"),
+    ('{"n": "two", "mats": [[1, 0, 0, 0]]}', "'n'"),
+    ('{"n": 2, "mats": []}', "'mats'"),
+    ('{"n": 2, "mats": 5}', "'mats'"),
+    ('{"n": 2, "mats": [[1, 0, 0]]}', "'mats'"),
+    ('{"n": 2, "mats": [[1, 0, 0, "x"]]}', "'mats'"),
+    ('{"n": 2, "mats": [[1, 0, [0, 1], 0]]}', "'mats'"),
+    ('{"n": 2, "mats": [[1, 0, 0, NaN]]}', "'mats'"),
+])
+def test_lu_check_malformed_family_document(tmp_path, capsys, doc, field):
+    path = tmp_path / "family.json"
+    path.write_text(doc)
+    code = main(["lu", "check", "--file", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
+
+
 def test_lu_extremal_bad_k(capsys):
     code = main(["lu", "extremal", "--n", "3", "--k", "3"])
     assert code == 2

@@ -164,3 +164,21 @@ def test_eigen_input_not_mutated():
     keep = a.copy()
     sym_eigen(a)
     assert np.array_equal(a, keep)
+
+
+def test_eigen_batched_matches_single_calls():
+    # a stack mixing matrices that converge after different sweep counts,
+    # diagonal ones (every pivot zero) and the zero matrix: each solve in the
+    # stack must reproduce its own single-matrix solve bit for bit
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 5):
+        stack = np.stack([random_symmetric(rng, n, scale=10.0 ** rng.uniform(-3, 3))
+                          for _ in range(40)])
+        stack[3] = np.diag(rng.standard_normal(n))
+        stack[4] = 0.0
+        res = sym_eigen(stack)
+        assert res.values.shape == (40, n) and res.vectors.shape == (40, n, n)
+        for k, a in enumerate(stack):
+            one = sym_eigen(a)
+            assert np.array_equal(res.values[k], one.values), (n, k)
+            assert np.array_equal(res.vectors[k], one.vectors), (n, k)

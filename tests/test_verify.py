@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from minleg import verify, zoo
-from minleg.geometry import ImmersionChart, Interval
+from minleg.geometry import (
+    ImmersionChart,
+    Interval,
+    legendrian_residual,
+    minimality_residual,
+    point_data,
+    sigma_symmetry_defect,
+)
 from minleg.verify import (
     GridSpec,
     Tolerances,
@@ -255,11 +262,45 @@ def test_scan_csv_format():
     assert text.endswith("\n")
 
 
-def test_workers_env_deterministic(monkeypatch):
+def test_sweep_chunk_size_invariant(monkeypatch):
+    # every grid point is computed independently of the chunk it lands in, so
+    # report bytes never depend on the chunk size; 7 leaves a partial chunk
     entry = zoo.calabi_torus(3)
-    spec = GridSpec(points_per_dim=8)  # 512 points engages the thread pool
-    monkeypatch.setenv(verify.WORKERS_ENV, "1")
-    serial = verify_chart(entry, spec).to_text(include_timing=False)
-    monkeypatch.setenv(verify.WORKERS_ENV, "4")
-    threaded = verify_chart(entry, spec).to_text(include_timing=False)
-    assert serial == threaded
+    spec = GridSpec(points_per_dim=6)
+    texts = []
+    for chunk in (1, 7, 6 ** 3):
+        monkeypatch.setattr(verify, "SWEEP_CHUNK", chunk)
+        texts.append(verify_chart(entry, spec).to_text(include_timing=False))
+    assert texts[0] == texts[1] == texts[2]
+
+
+def _close(batched, single, tol):
+    single = np.asarray(single)
+    return np.all(np.abs(batched - single) <= tol * (1.0 + np.abs(single)))
+
+
+def test_batched_point_data_matches_per_point():
+    for entry in zoo.default_entries():
+        chart = entry.chart
+        pts, _ = grid_points(chart, GridSpec(points_per_dim=3))
+        batch = point_data(chart, pts)
+        residuals = (
+            legendrian_residual(batch.frame),
+            minimality_residual(batch.sigma),
+            sigma_symmetry_defect(batch.sigma),
+        )
+        for k, u in enumerate(pts):
+            one = point_data(chart, u)
+            for got, want in (
+                (batch.spectrum.lambdas[k], one.spectrum.lambdas),
+                (batch.spectrum.normB2[k], one.spectrum.normB2),
+                (batch.spectrum.pinch[k], one.spectrum.pinch),
+                (batch.frame.vol[k], one.frame.vol),
+            ):
+                assert _close(got, want, 1e-14), (entry.name, u)
+            for got, want in zip(residuals, (
+                legendrian_residual(one.frame),
+                minimality_residual(one.sigma),
+                sigma_symmetry_defect(one.sigma),
+            )):
+                assert abs(got[k] - want) <= 1e-14, (entry.name, u)
