@@ -3,8 +3,9 @@
 
 The geometry engine differentiates charts with forward-mode jets, so its
 sigma-tensor route to scalar curvature R = n(n-1) - |B|^2 is analytic.  The
-oracle route below never touches sigma: it finite-differences the induced
-metric for Christoffel symbols and contracts them.  Agreement of the two is
+oracle route below never touches sigma: it builds Christoffel symbols from
+the induced metric and its jet-exact first derivatives, central-differences
+them, and contracts.  Agreement of the two is
 the Gauss-equation consistency check; disagreement would mean the jet
 arithmetic, the frame construction, or the eigensolver is wrong.
 """

@@ -17,6 +17,7 @@ from .geometry import (
     fundamental_matrix,
     gauss_rank,
     legendrian_residual,
+    metric_derivative,
     minimality_residual,
     point_data,
     scalar_curvature_intrinsic,
@@ -40,7 +41,15 @@ from .lu_inequality import (
     normalize_family,
     save_family,
 )
-from .symmat import EigenResult, commutator, frobenius_inner, frobenius_norm, sym_eigen, symmetrize
+from .symmat import (
+    EigenResult,
+    JacobiConvergenceError,
+    commutator,
+    frobenius_inner,
+    frobenius_norm,
+    sym_eigen,
+    symmetrize,
+)
 from .verify import (
     GridSpec,
     ScanResult,

@@ -1,9 +1,12 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 verification failure (an invalid or malformed family
-document included), 2 usage error.  Reports go to --out or stdout;
-diagnostics go to stderr.  Grids are evaluated in one thread, in fixed-size
-batches; the batch size never changes report bytes.
+document included), 2 usage error (a file that cannot be read or written
+included), 3 numerical failure (a degenerate chart point, a fundamental
+matrix that is not positive semidefinite, or Jacobi sweeps that do not
+converge).  Every error prints one `error:` line to stderr.  Reports go to
+--out or stdout; diagnostics go to stderr.  Grids are evaluated in one
+thread, in fixed-size batches; the batch size never changes report bytes.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import json
 import sys
 
 from . import __version__
+from .geometry import DegeneratePointError, NonPSDError
 from .lu_inequality import (
     FamilyValidationError,
     canonical_extremal,
@@ -22,11 +26,13 @@ from .lu_inequality import (
     lu_bound,
     lu_check,
 )
+from .symmat import JacobiConvergenceError
 from .verify import GridSpec, Tolerances, integral_p1, pinching_scan, scan_to_csv, verify_chart
 from .zoo import PARAMETRIC, UnknownExampleError, default_entries, get_entry
 
 USAGE_ERROR = 2
 VERIFY_FAIL = 1
+NUMERICAL_FAILURE = 3
 
 
 def _fmt(x: float) -> str:
@@ -162,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--tol-alg", type=float, default=Tolerances.algebra,
                         help="closed-form algebra tolerance class")
     verify.add_argument("--tol-curv", type=float, default=Tolerances.curvature,
-                        help="finite-difference curvature tolerance class")
+                        help="curvature-oracle tolerance class")
     verify.add_argument("--out", default=None, help="write the report to this file")
     verify.add_argument("--no-timing", action="store_true",
                         help="omit wall_time so identical runs are byte-identical")
@@ -220,9 +226,12 @@ def main(argv=None) -> int:
     except FamilyValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VERIFY_FAIL
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except (DegeneratePointError, NonPSDError, JacobiConvergenceError) as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return NUMERICAL_FAILURE
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -21,9 +21,10 @@ d2F drop out.
 Complex structure convention: coordinate pairs (x_{2k-1}, x_{2k}) realify
 z_k = x_{2k-1} + i x_{2k}, and J(x_{2k-1}, x_{2k}) = (-x_{2k}, x_{2k-1}).
 
-An independent scalar-curvature route (finite-difference Christoffel symbols
-of the induced metric, no sigma anywhere) serves as the oracle for the
-Gauss-equation relation R = n(n-1) - |B|^2.
+An independent scalar-curvature route serves as the oracle for the
+Gauss-equation relation R = n(n-1) - |B|^2.  It uses the induced metric
+alone, no sigma anywhere: Christoffel symbols exact from G and the jet-exact
+dG, and their derivatives by central differences.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ from .symmat import sym_eigen, symmetrize
 
 PSD_TOL = 1e-10
 DEGENERACY_TOL = 1e-8
+# Central-difference step of the curvature oracle's Christoffel derivatives.
+# A scan over the zoo put the smallest worst-case Gauss gap between 5e-7 and
+# 2e-6; below that, rounding grows as 1/step.
+CURVATURE_STEP = 2e-6
 
 
 class DegeneratePointError(RuntimeError):
@@ -353,37 +358,53 @@ def point_data(chart: ImmersionChart, u) -> PointData:
 # ---- intrinsic curvature oracle --------------------------------------------
 
 
-def scalar_curvature_intrinsic(chart: ImmersionChart, u, step: float = 5e-5) -> float:
+def metric_derivative(jac: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """dG[..., l, s, t] = d_l G_st = <d2F_ls, dF_t> + <dF_s, d2F_lt>, exact from the jets.
+
+    jac has shape B + (2n+2, n) and hess B + (2n+2, n, n).
+    """
+    n = jac.shape[-1]
+    batch = jac.shape[:-2]
+    # a[..., l, s, t] = <d2F_ls, dF_t>
+    a = (_t(hess.reshape(batch + (-1, n * n))) @ jac).reshape(batch + (n, n, n))
+    return a + a.swapaxes(-1, -2)
+
+
+def scalar_curvature_intrinsic(chart: ImmersionChart, u,
+                               step: float = CURVATURE_STEP) -> float | np.ndarray:
     """Scalar curvature from the induced metric alone.
 
-    Christoffel symbols come from central differences of G(u) and are
-    differenced once more for the curvature contraction, so this route never
+    G and its first derivatives dG come exact from the jets, so the
+    Christoffel symbols are exact; only their derivatives are central
+    differences with the given step, O(step^2) in truncation.  The route never
     touches sigma or the complex structure; it is the independent oracle for
-    the Gauss-equation relation R = n(n-1) - |B|^2.  The whole (2n+1)^2-point
-    stencil goes through one batched jet evaluation.
+    the Gauss-equation relation R = n(n-1) - |B|^2.  u of shape (n,) gives a
+    float; a stack of shape (N, n) gives shape (N,), with the 2n+1 stencil
+    points of every sample in one batched jet evaluation.
     """
     u = np.asarray(u, dtype=float)
     n = chart.dim
     h = step * np.eye(n)
-    # centres u, u + h e_m, u - h e_m, each with its stencil c, c + h e_l, c - h e_l
-    centres = np.concatenate([u[None], u + h, u - h])
-    stencil = np.concatenate([centres[:, None], centres[:, None] + h, centres[:, None] - h], axis=1)
-    jac = chart.jacobian(stencil.reshape(-1, n)).reshape(stencil.shape[:2] + (-1, n))
+    # per sample: the centre, then u + h e_m and u - h e_m for each m
+    stencil = np.concatenate([u[..., None, :], u[..., None, :] + h, u[..., None, :] - h], axis=-2)
+    _, jac, hess = chart.jet_eval(stencil.reshape(-1, n))
+    jac = jac.reshape(stencil.shape[:-1] + jac.shape[-2:])
+    hess = hess.reshape(stencil.shape[:-1] + hess.shape[-3:])
     metric, _ = induced_metric(stencil, jac)
-    ginvs = np.linalg.inv(metric[:, 0])
-    dg = (metric[:, 1:n + 1] - metric[:, n + 1:]) / (2.0 * step)  # dg[c, l, s, t] = d_l G_st
-    gammas = 0.5 * (
-        np.einsum("ckl,cslt->ckst", ginvs, dg)
-        + np.einsum("ckl,ctls->ckst", ginvs, dg)
-        - np.einsum("ckl,clst->ckst", ginvs, dg)
-    )
-    ginv, gamma = ginvs[0], gammas[0]
-    dgamma = (gammas[1:n + 1] - gammas[n + 1:]) / (2.0 * step)  # d_m Gamma^k_st
-    term1 = np.einsum("sskt,kt->", dgamma, ginv)
-    term2 = np.einsum("tsks,kt->", dgamma, ginv)
-    term3 = np.einsum("ssl,lkt,kt->", gamma, gamma, ginv)
-    term4 = np.einsum("stl,lks,kt->", gamma, gamma, ginv)
-    return float(term1 - term2 + term3 - term4)
+    ginvs = np.linalg.inv(metric)
+    dg = metric_derivative(jac, hess)
+    # Gamma^k_st = G^kl (d_s G_lt + d_t G_ls - d_l G_st) / 2
+    lowered = 0.5 * (np.einsum("...slt->...lst", dg) + np.einsum("...tls->...lst", dg) - dg)
+    gammas = np.einsum("...kl,...lst->...kst", ginvs, lowered)
+    ginv, gamma = ginvs[..., 0, :, :], gammas[..., 0, :, :, :]
+    # dgamma[..., m, k, s, t] = d_m Gamma^k_st
+    dgamma = (gammas[..., 1:n + 1, :, :, :] - gammas[..., n + 1:, :, :, :]) / (2.0 * step)
+    term1 = np.einsum("...sskt,...kt->...", dgamma, ginv)
+    term2 = np.einsum("...tsks,...kt->...", dgamma, ginv)
+    term3 = np.einsum("...ssl,...lkt,...kt->...", gamma, gamma, ginv)
+    term4 = np.einsum("...stl,...lks,...kt->...", gamma, gamma, ginv)
+    r = term1 - term2 + term3 - term4
+    return float(r) if r.ndim == 0 else r
 
 
 # ---- derivative cross-check -------------------------------------------------

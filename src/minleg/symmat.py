@@ -50,6 +50,10 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
+class JacobiConvergenceError(RuntimeError):
+    """Cyclic Jacobi sweeps did not converge within the sweep limit."""
+
+
 class EigenResult(NamedTuple):
     values: np.ndarray   # descending
     vectors: np.ndarray  # columns, matching order
@@ -102,7 +106,7 @@ def sym_eigen(a, max_sweeps: int = MAX_SWEEPS) -> EigenResult:
                 m[:, p, r] = m[:, r, p] = 0.0
                 aq[k] = m
     else:
-        raise RuntimeError(f"Jacobi sweeps did not converge within {max_sweeps} sweeps")
+        raise JacobiConvergenceError(f"Jacobi sweeps did not converge within {max_sweeps} sweeps")
     values = np.diagonal(a, axis1=1, axis2=2)
     order = np.argsort(-values, axis=1, kind="stable")
     values = np.take_along_axis(values, order, axis=1)

@@ -52,7 +52,7 @@ class Tolerances:
     construction: float = 1e-12  # exactness of constructed objects
     algebra: float = 1e-10       # closed-form linear algebra
     geometry: float = 1e-9       # analytic-derivative geometry on grids
-    curvature: float = 1e-3      # finite-difference curvature oracle
+    curvature: float = 1e-4      # curvature oracle (exact metric, differenced Christoffels)
     quadrature: float = 1e-6     # grid-dependent integral residuals
 
 
@@ -308,7 +308,7 @@ def verify_chart(
 
     spts = sample_points(chart, 20, seed=grid.seed + 7)
     r_gauss = n * (n - 1.0) - point_data(chart, spts).spectrum.normB2
-    r_intrinsic = [scalar_curvature_intrinsic(chart, u) for u in spts]
+    r_intrinsic = scalar_curvature_intrinsic(chart, spts)
     add("scalar_curvature", np.max(np.abs(r_intrinsic - r_gauss)), tol.curvature)
 
     integrals = {}

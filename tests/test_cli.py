@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from minleg import cli
 from minleg.cli import main
+from minleg.geometry import DegeneratePointError, NonPSDError
 from minleg.lu_inequality import load_family, lu_check
+from minleg.symmat import JacobiConvergenceError
 
 
 def test_zoo_list(capsys):
@@ -54,7 +57,8 @@ def test_verify_out_file(tmp_path, capsys):
 
 
 def test_verify_tolerance_failure_exit(capsys):
-    code = main(["verify", "--example", "flat-torus", "--grid", "5",
+    # a curved entry: the flat torus oracle gap is itself near 1e-15
+    code = main(["verify", "--example", "calabi", "--n", "3", "--grid", "5",
                  "--tol-curv", "1e-15", "--no-timing"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 1
@@ -149,6 +153,48 @@ def test_lu_check_missing_file(capsys):
     code = main(["lu", "check", "--file", "/nonexistent/family.json"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_lu_check_file_is_directory(tmp_path, capsys):
+    code = main(["lu", "check", "--file", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--example", "flat-torus", "--grid", "4", "--no-timing"],
+    ["lu", "extremal", "--n", "3", "--k", "1"],
+    ["lu", "search", "--n", "2", "--profile", "1", "--restarts", "1"],
+])
+def test_out_is_directory(tmp_path, capsys, argv):
+    code = main(argv + ["--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exc", [
+    DegeneratePointError("metric not positive definite at u = [0.0, 1.0]"),
+    NonPSDError("fundamental matrix has eigenvalue -1.000e-03 < -1e-10"),
+    JacobiConvergenceError("Jacobi sweeps did not converge within 100 sweeps"),
+])
+@pytest.mark.parametrize("driver, argv", [
+    ("verify_chart", ["verify", "--example", "flat-torus", "--grid", "4"]),
+    ("integral_p1", ["integral", "--example", "flat-torus", "--grid", "4"]),
+    ("pinching_scan", ["scan", "--example", "flat-torus", "--grid", "4"]),
+    ("extremal_search", ["lu", "search", "--n", "2", "--profile", "1"]),
+])
+def test_numerical_failure_exit(monkeypatch, capsys, exc, driver, argv):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, driver, fail)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == cli.NUMERICAL_FAILURE == 3
+    assert captured.out == ""
+    assert captured.err == f"error: numerical failure: {exc}\n"
 
 
 def test_lu_check_malformed(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from minleg.symmat import (
+    JacobiConvergenceError,
     commutator,
     frobenius_inner,
     frobenius_norm,
@@ -155,7 +156,7 @@ def test_eigen_named_examples():
 
 def test_eigen_convergence_error():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(RuntimeError):
+    with pytest.raises(JacobiConvergenceError):
         sym_eigen(a, max_sweeps=0)
 
 

@@ -155,8 +155,9 @@ def test_verify_bare_chart():
 
 
 def test_verify_tolerance_failure():
-    # the finite-difference curvature oracle can never hit 1e-12
-    entry = zoo.flat_legendrian_torus()
+    # on a curved entry the oracle's differenced Christoffel derivatives
+    # leave a gap near 1e-8, far above 1e-12
+    entry = zoo.calabi_torus(3)
     report = verify_chart(entry, GridSpec(points_per_dim=6),
                           Tolerances(curvature=1e-12))
     assert not report.passed
