@@ -165,7 +165,7 @@ def objective_gradients(mats: np.ndarray) -> np.ndarray:
     rest = mats[1:]
     c = a1 @ rest - rest @ a1
     grad = np.empty_like(mats)
-    grad[0] = 2.0 * np.sum(c @ rest - rest @ c, axis=0)
+    grad[0] = 2.0 * np.add.reduce(c @ rest - rest @ c, axis=0)
     grad[1:] = 2.0 * (a1 @ c - c @ a1)
     return grad
 
@@ -173,38 +173,38 @@ def objective_gradients(mats: np.ndarray) -> np.ndarray:
 def _retract(mats: np.ndarray, norms: np.ndarray) -> np.ndarray | None:
     """Gram-Schmidt in the HS inner product (index order), then fix norms.
 
-    Returns None when a direction with positive target norm degenerates.
+    Right-looking: once slot i is scaled, one row reduction gives ||q_i||^2
+    and every later slot's inner product with q_i.  Returns None when a
+    direction with positive target norm degenerates.
     """
-    out = np.empty_like(mats)
-    for i in range(mats.shape[0]):
-        w = mats[i].copy()
-        for j in range(i):
-            nj2 = float(np.sum(out[j] * out[j]))
-            if nj2 > 0.0:
-                w -= (float(np.sum(w * out[j])) / nj2) * out[j]
+    w = mats.reshape(mats.shape[0], -1).copy()
+    for i, wi in enumerate(w):
         if norms[i] == 0.0:
-            out[i] = 0.0
+            wi.fill(0.0)
             continue
-        nrm = math.sqrt(float(np.sum(w * w)))
+        nrm = math.sqrt(np.add.reduce(wi * wi))
         if nrm <= 1e-12:
             return None
-        out[i] = w * (norms[i] / nrm)
-    return out
+        wi *= norms[i] / nrm
+        if i + 1 < len(w):
+            d = np.add.reduce(w[i:] * wi, axis=1)
+            if d[0] > 0.0:
+                w[i + 1 :] -= (d[1:] / d[0])[:, None] * wi
+    return w.reshape(mats.shape)
 
 
 def _project_gradient(grad: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Remove components along span{A_1, ..., A_m} from each gradient slot.
+    """Remove components along span{A_1, ..., A_m} from each slot, in place.
 
     The family is HS-orthogonal, so slot-wise removal is an exact projection;
     at a constrained critical point the projected gradient vanishes.
     """
     norms2 = np.einsum("aij,aij->a", mats, mats)
-    proj = grad.copy()
     for b in range(mats.shape[0]):
         if norms2[b] > 0.0:
-            coef = np.einsum("aij,ij->a", proj, mats[b]) / norms2[b]
-            proj -= coef[:, None, None] * mats[b]
-    return proj
+            coef = np.einsum("aij,ij->a", grad, mats[b]) / norms2[b]
+            grad -= coef[:, None, None] * mats[b]
+    return grad
 
 
 GRAD_TOL = 1e-8
@@ -213,7 +213,10 @@ ARMIJO = 1e-4
 STEP0 = 0.1
 
 
-def _search_single(n: int, norms: np.ndarray, rng: np.random.Generator) -> tuple[float, np.ndarray]:
+def _search_single(
+    n: int, norms: np.ndarray, ceiling: float, rng: np.random.Generator
+) -> tuple[float, np.ndarray, str, int]:
+    """One restart: (value, family, exit reason, gradient steps)."""
     m = norms.size
     mats = None
     for _ in range(64):
@@ -225,17 +228,16 @@ def _search_single(n: int, norms: np.ndarray, rng: np.random.Generator) -> tuple
     if mats is None:
         raise RuntimeError("could not draw a nondegenerate starting family")
     value = objective_value(mats)
-    norms2 = norms * norms
-    ceiling = 0.0 if m == 1 else float(norms2[1] + norms2[1:].sum())
+    # Phi can never exceed the proven bound, so stop once it is reached.
+    reached = 1e-12 * max(1.0, ceiling)
     step = STEP0
-    for _ in range(MAX_ITERS):
-        # Phi can never exceed the proven bound, so stop once it is reached.
-        if ceiling - value <= 1e-12 * max(1.0, ceiling):
-            break
+    for it in range(MAX_ITERS):
+        if ceiling - value <= reached:
+            return value, mats, "ceiling", it
         proj = _project_gradient(objective_gradients(mats), mats)
         gnorm2 = float(np.einsum("aij,aij->", proj, proj))
         if math.sqrt(gnorm2) < GRAD_TOL:
-            break
+            return value, mats, "grad_tol", it + 1
         step = min(2.0 * step, STEP0)
         while True:
             cand = _retract(mats + step * proj, norms)
@@ -246,8 +248,11 @@ def _search_single(n: int, norms: np.ndarray, rng: np.random.Generator) -> tuple
                     break
             step *= 0.5
             if step < 1e-14:
-                return value, mats
-    return value, mats
+                return value, mats, "step_underflow", it + 1
+    return value, mats, "max_iters", MAX_ITERS
+
+
+EXIT_REASONS = ("ceiling", "grad_tol", "step_underflow", "max_iters")
 
 
 def extremal_search(
@@ -255,16 +260,20 @@ def extremal_search(
 ) -> tuple[float, MatrixFamily]:
     """Maximize Phi over families with ||A_1|| = 1 and ||A_a|| fixed.
 
-    Projected gradient ascent with backtracking line search; each restart
-    draws its start from a sub-seeded generator (seed, restart index), so the
-    result is reproducible regardless of scheduling.  Returns the best value
-    and family over all restarts (ties resolved by lowest restart index).
+    Projected gradient ascent with backtracking line search.  Restarts run
+    serially; each draws its start from a sub-seeded generator (seed,
+    restart index), so every restart is reproducible bit for bit on its own.
+    Returns the best value and family over all restarts (ties resolved by
+    lowest restart index).  Logs the count of each exit reason at INFO, and
+    a WARNING when any restart ran out of iterations.
     """
     profile = np.asarray(norm_profile, dtype=float)
     if n < 2:
         raise ValueError("n must be at least 2")
     if profile.ndim != 1 or profile.size > n - 1:
         raise ValueError("norm profile must be 1-D with at most n-1 entries")
+    if not np.all(np.isfinite(profile)):
+        raise ValueError(f"norm profile entries must be finite, got {profile.tolist()}")
     if np.any(profile < 0.0):
         raise ValueError("norm profile entries must be non-negative")
     if np.any(profile[:-1] < profile[1:]):
@@ -272,12 +281,30 @@ def extremal_search(
     if restarts < 1:
         raise ValueError("restarts must be positive")
     norms = np.concatenate([[1.0], profile])
+    with np.errstate(over="ignore"):
+        norms2 = norms * norms
+        ceiling = 0.0 if profile.size == 0 else float(norms2[1] + norms2[1:].sum())
+    if not math.isfinite(ceiling):
+        raise ValueError(f"norm profile {profile.tolist()} overflows the squared-norm bound")
     best_value, best_mats = -math.inf, None
+    exits = dict.fromkeys(EXIT_REASONS, 0)
+    steps = 0
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        value, mats = _search_single(n, norms, rng)
+        value, mats, reason, taken = _search_single(n, norms, ceiling, rng)
+        exits[reason] += 1
+        steps += taken
         if value > best_value:
             best_value, best_mats = value, mats
+    log.info(
+        "extremal search n=%d: %d restarts, %d gradient steps, exits %s",
+        n, restarts, steps, " ".join(f"{k}={v}" for k, v in exits.items()),
+    )
+    if exits["max_iters"]:
+        log.warning(
+            "extremal search n=%d: %d of %d restarts stopped at MAX_ITERS=%d",
+            n, exits["max_iters"], restarts, MAX_ITERS,
+        )
     best_mats = (best_mats + np.transpose(best_mats, (0, 2, 1))) / 2.0
     fam = MatrixFamily(n=n, mats=best_mats)
     bound = lu_bound(fam)

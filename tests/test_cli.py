@@ -244,6 +244,18 @@ def test_lu_extremal_bad_k(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("profile", ["nan", "inf", "1e308,1e308"])
+def test_lu_search_nonfinite_profile(capsys, recwarn, profile):
+    # a non-finite entry or an overflowing bound is a usage error, never a
+    # search that prints NaN or Infinity
+    code = main(["lu", "search", "--n", "3", "--profile", profile, "--restarts", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: norm profile ") and captured.err.count("\n") == 1
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_lu_search_json(tmp_path, capsys):
     fam_path = tmp_path / "best.json"
     code = main(["lu", "search", "--n", "2", "--profile", "1", "--restarts", "3",

@@ -1,9 +1,11 @@
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
 
+import minleg.lu_inequality as lu
 from minleg.lu_inequality import (
     FamilyValidationError,
     MatrixFamily,
@@ -240,12 +242,130 @@ def test_search_validates_arguments():
         extremal_search(4, (1.0, 1.0, 1.0, 1.0))  # more than n-1
     with pytest.raises(ValueError):
         extremal_search(3, (1.0,), restarts=0)
+    # a non-finite entry, or a bound ||A_2||^2 + sum ||A_a||^2 that overflows
+    for profile in [(math.nan,), (math.inf,), (1.0, math.nan), (1e308, 1e308), (1e200,)]:
+        with pytest.raises(ValueError, match="norm profile"):
+            extremal_search(3, profile, restarts=1)
 
 
 def test_search_logs_equality_families(caplog):
     with caplog.at_level(logging.INFO, logger="minleg.lu_inequality"):
         extremal_search(2, (1.0,), restarts=5, seed=0)
     assert "bound" in caplog.text
+
+
+def _search_logs(caplog):
+    info = [r.getMessage() for r in caplog.records
+            if r.levelno == logging.INFO and "exits" in r.getMessage()]
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    return info, warnings
+
+
+def test_search_logs_exit_reasons(caplog):
+    with caplog.at_level(logging.INFO, logger="minleg.lu_inequality"):
+        extremal_search(2, (1.0,), restarts=5, seed=0)
+    info, warnings = _search_logs(caplog)
+    assert len(info) == 1
+    assert "5 restarts" in info[0]
+    assert "ceiling=5 grad_tol=0 step_underflow=0 max_iters=0" in info[0]
+    assert warnings == []
+
+
+def test_search_warns_when_restarts_run_out_of_iterations(monkeypatch, caplog):
+    monkeypatch.setattr(lu, "MAX_ITERS", 3)
+    with caplog.at_level(logging.INFO, logger="minleg.lu_inequality"):
+        extremal_search(4, (1.0, 1.0, 1.0), restarts=4, seed=7)
+    info, warnings = _search_logs(caplog)
+    assert len(info) == 1 and "max_iters=4" in info[0]
+    # every restart took exactly MAX_ITERS gradient steps
+    assert "12 gradient steps" in info[0]
+    assert len(warnings) == 1
+    assert "4 of 4 restarts stopped at MAX_ITERS=3" in warnings[0]
+
+
+def test_search_names_grad_tol_and_step_underflow_exits(monkeypatch):
+    exits = []
+    single = lu._search_single
+
+    def recording(*args):
+        result = single(*args)
+        exits.append(result[2:])  # (exit reason, gradient steps)
+        return result
+
+    monkeypatch.setattr(lu, "_search_single", recording)
+    monkeypatch.setattr(lu, "GRAD_TOL", math.inf)  # any gradient is small enough
+    extremal_search(3, (1.0, 0.5), restarts=3, seed=1)
+    assert exits == [("grad_tol", 1)] * 3
+    exits.clear()
+    monkeypatch.setattr(lu, "GRAD_TOL", 1e-8)
+    monkeypatch.setattr(lu, "ARMIJO", math.inf)  # no step is ever accepted
+    extremal_search(3, (1.0, 0.5), restarts=3, seed=1)
+    assert exits == [("step_underflow", 1)] * 3
+
+
+# ---- the retraction against its original slot-by-slot form ---------------------
+
+
+def _reference_retract(mats, norms):
+    """Gram-Schmidt in the HS inner product (index order), then fix norms.
+
+    Returns None when a direction with positive target norm degenerates.
+    """
+    out = np.empty_like(mats)
+    for i in range(mats.shape[0]):
+        w = mats[i].copy()
+        for j in range(i):
+            nj2 = float(np.sum(out[j] * out[j]))
+            if nj2 > 0.0:
+                w -= (float(np.sum(w * out[j])) / nj2) * out[j]
+        if norms[i] == 0.0:
+            out[i] = 0.0
+            continue
+        nrm = math.sqrt(float(np.sum(w * w)))
+        if nrm <= 1e-12:
+            return None
+        out[i] = w * (norms[i] / nrm)
+    return out
+
+
+def test_retract_bit_identical_to_reference():
+    rng = np.random.default_rng(404)
+    outcomes = {"family": 0, "none": 0}
+    for trial in range(3000):
+        m = int(rng.integers(1, 6))
+        n = int(rng.integers(2, 7))
+        raw = rng.standard_normal((m, n, n))
+        raw = (raw + np.transpose(raw, (0, 2, 1))) / 2.0
+        norms = np.concatenate([[1.0], np.sort(rng.uniform(0.0, 2.0, m - 1))[::-1]])
+        kind = trial % 5
+        if kind == 1 and m > 1:  # a zero tail of target norms
+            norms[int(rng.integers(1, m)):] = 0.0
+        elif kind == 2 and m > 1:  # a slot inside the span of the earlier ones
+            j = int(rng.integers(1, m))
+            raw[j] = rng.uniform(-2.0, 2.0) * raw[:j].sum(axis=0)
+        elif kind == 3:  # a zero slot
+            raw[int(rng.integers(0, m))] = 0.0
+        elif kind == 4:  # a tiny scale, near the degeneracy threshold
+            raw *= 10.0 ** rng.uniform(-14.0, -10.0)
+        ref = _reference_retract(raw, norms)
+        new = lu._retract(raw, norms)
+        if ref is None:
+            assert new is None, trial
+            outcomes["none"] += 1
+        else:
+            assert new is not None and new.shape == ref.shape, trial
+            assert new.tobytes() == ref.tobytes(), trial
+            outcomes["family"] += 1
+    assert min(outcomes.values()) > 300, outcomes
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_search_trajectory_identical_with_reference_retract(monkeypatch, seed):
+    best, fam = extremal_search(4, (1.0, 1.0, 1.0), restarts=8, seed=seed)
+    monkeypatch.setattr(lu, "_retract", _reference_retract)
+    ref_best, ref_fam = extremal_search(4, (1.0, 1.0, 1.0), restarts=8, seed=seed)
+    assert np.float64(best).tobytes() == np.float64(ref_best).tobytes()
+    assert fam.mats.tobytes() == ref_fam.mats.tobytes()
 
 
 # ---- serialization -------------------------------------------------------------
