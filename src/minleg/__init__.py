@@ -13,7 +13,6 @@ from .geometry import (
     apply_J,
     derivative_cross_check,
     f_m,
-    frame_at,
     fundamental_matrix,
     gauss_rank,
     legendrian_residual,
@@ -21,7 +20,6 @@ from .geometry import (
     minimality_residual,
     point_data,
     scalar_curvature_intrinsic,
-    sigma_at,
     sigma_symmetry_defect,
     simons_residual,
     spectrum_of,

@@ -72,10 +72,10 @@ class Interval:
 class ImmersionChart:
     """Parametrized immersion into the unit sphere of C^{dim+1}.
 
-    component_fn maps a list of coordinate jets (or plain floats) to the
-    dim+1 complex components of F.  `closed` records whether the chart covers
-    a closed manifold up to measure zero; all-periodic domains default to
-    closed, anything else must opt in.
+    component_fn maps a list of coordinate jets to the dim+1 complex
+    components of F.  `closed` records whether the chart covers a closed
+    manifold up to measure zero; all-periodic domains default to closed,
+    anything else must opt in.
     """
 
     def __init__(self, name: str, dim: int, domain: Sequence[Interval],
@@ -97,12 +97,6 @@ class ImmersionChart:
             )
         return comps
 
-    def point(self, u) -> np.ndarray:
-        """F(u) in R^{2n+2} (fast value-only path)."""
-        u = np.asarray(u, dtype=float)
-        comps = np.asarray(self._components(list(u)), dtype=complex)
-        return _interleave(comps)
-
     def jet_eval(self, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(F, dF, d2F) with shapes (2n+2,), (2n+2, n), (2n+2, n, n); a stack
         of points u, shape (N, n), adds a leading axis N to each."""
@@ -111,13 +105,6 @@ class ImmersionChart:
         axis = u.ndim - 1
         return tuple(_interleave(np.stack([getattr(c, part) for c in comps], axis=axis), axis)
                      for part in ("val", "grad", "hess"))
-
-    def jacobian(self, u) -> np.ndarray:
-        return self.jet_eval(u)[1]
-
-    def hessian(self, u) -> np.ndarray:
-        return self.jet_eval(u)[2]
-
 
 def _interleave(comps: np.ndarray, axis: int = 0) -> np.ndarray:
     """Stack complex components (..., m, ...) into reals (..., 2m, ...)."""
@@ -166,6 +153,7 @@ def induced_metric(u, jac) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _frame_from(u, f, jac) -> PointFrame:
+    """Gram-Schmidt frame over the coordinate tangents, in coordinate order."""
     n = jac.shape[-1]
     v = _t(jac)
     e = np.zeros_like(v)
@@ -189,31 +177,19 @@ def _frame_from(u, f, jac) -> PointFrame:
     return PointFrame(u=u, F=f, e=e, a=coeff, metric=metric, vol=vol)
 
 
-def frame_at(chart: ImmersionChart, u) -> PointFrame:
-    """Gram-Schmidt frame over the coordinate tangents, in coordinate order."""
-    u = np.asarray(u, dtype=float)
-    f, jac, _ = chart.jet_eval(u)
-    return _frame_from(u, f, jac)
-
-
 def _sigma_from(frame: PointFrame, hess: np.ndarray) -> np.ndarray:
-    # Contractions as stacked matrix products: m_stk = <d2F_st, J e_k>, then
-    # sigma_ijk = sum_s a_is sum_t a_jt m_stk.
-    batch, n = hess.shape[:-3], hess.shape[-1]
-    m = _t(hess.reshape(batch + (-1, n * n))) @ _t(apply_J(frame.e))
-    m = frame.a[..., None, :, :] @ m.reshape(batch + (n, n, n))
-    return (frame.a @ m.reshape(batch + (n, n * n))).reshape(batch + (n, n, n))
-
-
-def sigma_at(chart: ImmersionChart, frame: PointFrame) -> np.ndarray:
     """sigma_ijk = sum_st a_is a_jt <d2F/du_s du_t, J e_k>, returned raw.
 
     Full symmetry is a property to be measured (sigma_symmetry_defect), not
     enforced.  Values are only meaningful if the Legendrian residual gate
     passes for the same frame.
     """
-    _, _, hess = chart.jet_eval(frame.u)
-    return _sigma_from(frame, hess)
+    # Contractions as stacked matrix products: m_stk = <d2F_st, J e_k>, then
+    # sigma_ijk = sum_s a_is sum_t a_jt m_stk.
+    batch, n = hess.shape[:-3], hess.shape[-1]
+    m = _t(hess.reshape(batch + (-1, n * n))) @ _t(apply_J(frame.e))
+    m = frame.a[..., None, :, :] @ m.reshape(batch + (n, n, n))
+    return (frame.a @ m.reshape(batch + (n, n * n))).reshape(batch + (n, n, n))
 
 
 def sigma_symmetry_defect(sigma: np.ndarray) -> float | np.ndarray:
@@ -410,34 +386,47 @@ def scalar_curvature_intrinsic(chart: ImmersionChart, u,
 # ---- derivative cross-check -------------------------------------------------
 
 
-def derivative_cross_check(chart: ImmersionChart, u, step: float = 1e-3) -> tuple[float, float]:
+def derivative_cross_check(chart: ImmersionChart, u,
+                           step: float = 1e-3) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Max-abs gaps between jet derivatives and a Richardson central-difference
-    oracle built from chart.point values only: (first-order gap, second-order gap)."""
+    reference built from point values only: (first-order gap, second-order gap).
+
+    The point values come from the val channel of one batched jet_eval over
+    the whole stencil, centre included.  u of shape (n,) gives two floats; a
+    stack of shape (N, n) gives two arrays of shape (N,).
+    """
     u = np.asarray(u, dtype=float)
     n = chart.dim
     eye = np.eye(n)
-    p = chart.point
-    f0, jac, hess = chart.jet_eval(u)
+    si, ti = np.triu_indices(n, 1)
+    # directions e_s, then e_s + e_t and e_s - e_t for s < t, at steps h and h/2
+    dirs = np.concatenate([eye, eye[si] + eye[ti], eye[si] - eye[ti]])
+    steps = (step, step / 2.0)
+    shifts = np.concatenate([h * dirs for h in steps])
+    centre = u[..., None, :]
+    stencil = np.concatenate([centre, centre + shifts, centre - shifts], axis=-2)
+    f, jac, hess = chart.jet_eval(stencil.reshape(-1, n))
+    vals = f.reshape(stencil.shape[:-1] + f.shape[-1:])
+    jac = jac.reshape(stencil.shape[:-1] + jac.shape[-2:])[..., 0, :, :]
+    hess = hess.reshape(stencil.shape[:-1] + hess.shape[-3:])[..., 0, :, :, :]
+    f0 = vals[..., :1, :]
+    plus, minus = np.split(vals[..., 1:, :], 2, axis=-2)
 
-    def d1(h):
-        return np.stack([(p(u + h * eye[s]) - p(u - h * eye[s])) / (2.0 * h) for s in range(n)], axis=1)
+    def differences(h, plus, minus):
+        """Central differences at step h: B + (2n+2, n) and B + (2n+2, n, n)."""
+        first = (plus[..., :n, :] - minus[..., :n, :]) / (2.0 * h)
+        second = np.empty(first.shape[:-2] + (n, n, first.shape[-1]))
+        second[..., range(n), range(n), :] = (plus[..., :n, :] - 2.0 * f0 + minus[..., :n, :]) / h**2
+        plus_sum, plus_diff = np.split(plus[..., n:, :], 2, axis=-2)
+        minus_sum, minus_diff = np.split(minus[..., n:, :], 2, axis=-2)
+        mixed = (plus_sum - plus_diff - minus_diff + minus_sum) / (4.0 * h**2)
+        second[..., si, ti, :] = second[..., ti, si, :] = mixed
+        return _t(first), np.moveaxis(second, -1, -3)
 
-    fd1 = (4.0 * d1(step / 2.0) - d1(step)) / 3.0
-
-    def d2(h):
-        out = np.empty_like(hess)
-        for s in range(n):
-            out[:, s, s] = (p(u + h * eye[s]) - 2.0 * f0 + p(u - h * eye[s])) / h**2
-        for s in range(n):
-            for t in range(s + 1, n):
-                mixed = (
-                    p(u + h * (eye[s] + eye[t]))
-                    - p(u + h * (eye[s] - eye[t]))
-                    - p(u - h * (eye[s] - eye[t]))
-                    + p(u - h * (eye[s] + eye[t]))
-                ) / (4.0 * h**2)
-                out[:, s, t] = out[:, t, s] = mixed
-        return out
-
-    fd2 = (4.0 * d2(step / 2.0) - d2(step)) / 3.0
-    return float(np.max(np.abs(fd1 - jac))), float(np.max(np.abs(fd2 - hess)))
+    (d1, d2), (d1_half, d2_half) = (differences(h, p, m) for h, p, m in
+                                    zip(steps, np.split(plus, 2, axis=-2), np.split(minus, 2, axis=-2)))
+    gap1 = np.max(np.abs((4.0 * d1_half - d1) / 3.0 - jac), axis=(-2, -1))
+    gap2 = np.max(np.abs((4.0 * d2_half - d2) / 3.0 - hess), axis=(-3, -2, -1))
+    if u.ndim == 1:
+        return float(gap1), float(gap2)
+    return gap1, gap2

@@ -13,9 +13,7 @@ operation acts pointwise along B; a single point is the case B = ().
 Values may be real or complex.  Derivatives are always taken with respect to
 real coordinates, so conjugation acts coefficient-wise and is a legal jet
 operation.  The module-level helpers (:func:`sin`, :func:`cos`, :func:`exp`,
-:func:`sqrt`, :func:`cis`, :func:`conj`) dispatch on their argument: applied
-to a plain number they fall back to numpy, which lets the same map body serve
-as a fast value-only evaluator.
+:func:`sqrt`, :func:`cis`, :func:`conj`) take and return jets.
 """
 
 from __future__ import annotations
@@ -104,39 +102,27 @@ def _chain(x, f0, f1, f2):
 
 
 def sin(x):
-    if isinstance(x, Jet):
-        return _chain(x, np.sin(x.val), np.cos(x.val), -np.sin(x.val))
-    return np.sin(x)
+    return _chain(x, np.sin(x.val), np.cos(x.val), -np.sin(x.val))
 
 
 def cos(x):
-    if isinstance(x, Jet):
-        return _chain(x, np.cos(x.val), -np.sin(x.val), -np.cos(x.val))
-    return np.cos(x)
+    return _chain(x, np.cos(x.val), -np.sin(x.val), -np.cos(x.val))
 
 
 def exp(x):
-    if isinstance(x, Jet):
-        e = np.exp(x.val)
-        return _chain(x, e, e, e)
-    return np.exp(x)
+    e = np.exp(x.val)
+    return _chain(x, e, e, e)
 
 
 def sqrt(x):
-    if isinstance(x, Jet):
-        r = np.sqrt(x.val)
-        return _chain(x, r, 0.5 / r, -0.25 / (r * x.val))
-    return np.sqrt(x)
+    r = np.sqrt(x.val)
+    return _chain(x, r, 0.5 / r, -0.25 / (r * x.val))
 
 
 def cis(x):
-    """exp(i*x) for a real jet or number."""
-    if isinstance(x, Jet):
-        return cos(x) + 1j * sin(x)
-    return np.exp(1j * x)
+    """exp(i*x) for a real jet."""
+    return cos(x) + 1j * sin(x)
 
 
 def conj(x):
-    if isinstance(x, Jet):
-        return x.conj()
-    return np.conj(x)
+    return x.conj()

@@ -49,7 +49,6 @@ SWEEP_CHUNK = 128
 class Tolerances:
     """The tolerance ladder; one knob per error class, never per check."""
 
-    construction: float = 1e-12  # exactness of constructed objects
     algebra: float = 1e-10       # closed-form linear algebra
     geometry: float = 1e-9       # analytic-derivative geometry on grids
     curvature: float = 1e-4      # curvature oracle (exact metric, differenced Christoffels)
@@ -350,7 +349,7 @@ def chart_volume(chart: ImmersionChart, grid: GridSpec | None = None) -> float:
     """Quadrature of sqrt(det G); doubling the grid should barely move it."""
     grid = grid or GridSpec()
     pts, wts = grid_points(chart, grid)
-    vols = [induced_metric(chunk, chart.jacobian(chunk))[1] for chunk in _chunks(pts)]
+    vols = [induced_metric(chunk, chart.jet_eval(chunk)[1])[1] for chunk in _chunks(pts)]
     return float(np.sum(np.concatenate(vols) * wts))
 
 

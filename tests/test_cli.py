@@ -256,6 +256,17 @@ def test_lu_search_nonfinite_profile(capsys, recwarn, profile):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_lu_search_large_profile(capsys):
+    # the best family at a norm profile of 1e153 validates: orthogonality is
+    # measured relative to the norms, not against an absolute 1e-10
+    code = main(["lu", "search", "--n", "3", "--profile", "1e153", "--restarts", "2",
+                 "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    doc = json.loads(captured.out)
+    assert doc["profile"] == [1e153] and doc["gap"] >= 0.0
+
+
 def test_lu_search_json(tmp_path, capsys):
     fam_path = tmp_path / "best.json"
     code = main(["lu", "search", "--n", "2", "--profile", "1", "--restarts", "3",

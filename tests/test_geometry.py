@@ -10,7 +10,6 @@ from minleg.geometry import (
     apply_J,
     derivative_cross_check,
     f_m,
-    frame_at,
     fundamental_matrix,
     gauss_rank,
     induced_metric,
@@ -19,7 +18,6 @@ from minleg.geometry import (
     minimality_residual,
     point_data,
     scalar_curvature_intrinsic,
-    sigma_at,
     sigma_symmetry_defect,
     simons_residual,
     spectrum_of,
@@ -42,6 +40,10 @@ ENTRIES = [
 
 def _points(chart, count, seed=0):
     return sample_points(chart, count, seed=seed)
+
+
+def _sigma(chart, u):
+    return point_data(chart, u).sigma
 
 
 # ---- containers ---------------------------------------------------------------
@@ -78,20 +80,20 @@ def test_apply_J_is_complex_structure():
 def test_frame_orthonormal_tangent():
     for entry in ENTRIES:
         chart = entry.chart
-        for u in _points(chart, 10, seed=3):
-            fr = frame_at(chart, u)
-            n = chart.dim
-            gram = fr.e @ fr.e.T
-            assert np.max(np.abs(gram - np.eye(n))) < 1e-12
-            assert np.max(np.abs(fr.e @ fr.F)) < 1e-12
-            assert fr.vol > 0.0
-            # e_i = sum_s a_is dF/du_s
-            jac = chart.jacobian(u)
-            assert np.max(np.abs(fr.a @ jac.T - fr.e)) < 1e-11
+        pts = _points(chart, 10, seed=3)
+        fr = point_data(chart, pts).frame
+        n = chart.dim
+        gram = fr.e @ fr.e.swapaxes(-1, -2)
+        assert np.max(np.abs(gram - np.eye(n))) < 1e-12
+        assert np.max(np.abs(fr.e @ fr.F[:, :, None])) < 1e-12
+        assert np.all(fr.vol > 0.0)
+        # e_i = sum_s a_is dF/du_s
+        jac = chart.jet_eval(pts)[1]
+        assert np.max(np.abs(fr.a @ jac.swapaxes(-1, -2) - fr.e)) < 1e-11
 
 
 def test_frame_calabi_point():
-    fr = frame_at(zoo.calabi_torus(2).chart, np.array([0.7, 0.3]))
+    fr = point_data(zoo.calabi_torus(2).chart, np.array([0.7, 0.3])).frame
     assert fr.vol > 0.0
     assert np.linalg.det(fr.metric) > 0.0
 
@@ -99,7 +101,7 @@ def test_frame_calabi_point():
 def test_frame_degenerate_pole():
     chart = zoo.geodesic_sphere(3).chart
     with pytest.raises(DegeneratePointError):
-        frame_at(chart, np.array([0.0, 1.0, 1.0]))
+        point_data(chart, np.array([0.0, 1.0, 1.0]))
 
 
 # ---- sigma ----------------------------------------------------------------------
@@ -107,26 +109,23 @@ def test_frame_degenerate_pole():
 
 def test_sphere_sigma_vanishes():
     chart = zoo.geodesic_sphere(3).chart
-    for u in _points(chart, 15, seed=5):
-        sig = sigma_at(chart, frame_at(chart, u))
-        assert np.max(np.abs(sig)) < 1e-13
+    sig = _sigma(chart, _points(chart, 15, seed=5))
+    assert np.max(np.abs(sig)) < 1e-13
 
 
 def test_sigma_symmetric_on_zoo():
     for entry in ENTRIES:
         chart = entry.chart
-        for u in _points(chart, 15, seed=6):
-            sig = sigma_at(chart, frame_at(chart, u))
-            assert sigma_symmetry_defect(sig) < 1e-9
+        sig = _sigma(chart, _points(chart, 15, seed=6))
+        assert np.all(sigma_symmetry_defect(sig) < 1e-9)
 
 
 def test_minimality_and_legendrian_on_zoo():
     for entry in ENTRIES:
         chart = entry.chart
-        for u in _points(chart, 15, seed=7):
-            fr = frame_at(chart, u)
-            assert legendrian_residual(fr) < 1e-10
-            assert minimality_residual(sigma_at(chart, fr)) < 1e-9
+        pd = point_data(chart, _points(chart, 15, seed=7))
+        assert np.all(legendrian_residual(pd.frame) < 1e-10)
+        assert np.all(minimality_residual(pd.sigma) < 1e-9)
 
 
 def test_calabi_sigma_matches_adapted_form():
@@ -135,8 +134,8 @@ def test_calabi_sigma_matches_adapted_form():
     for n in (3, 4):
         chart = zoo.calabi_torus(n).chart
         want = zoo.calabi_sigma_closed_form(n)
-        for u in _points(chart, 5, seed=8):
-            sig = sigma_at(chart, frame_at(chart, u))
+        pts = _points(chart, 5, seed=8)
+        for u, sig in zip(pts, _sigma(chart, pts)):
             res = sym_eigen(fundamental_matrix(sig))
             q = res.vectors
             rot = np.einsum("abc,ai,bj,ck->ijk", sig, q, q, q)
@@ -154,9 +153,8 @@ def test_sigma_full_contraction_invariant():
     for n in (2, 3, 4):
         chart = zoo.calabi_torus(n).chart
         want = inv(zoo.calabi_sigma_closed_form(n))
-        for u in _points(chart, 5, seed=9):
-            got = inv(sigma_at(chart, frame_at(chart, u)))
-            assert abs(got - want) < 1e-9
+        for sig in _sigma(chart, _points(chart, 5, seed=9)):
+            assert abs(inv(sig) - want) < 1e-9
 
 
 # ---- fundamental matrix and spectrum --------------------------------------------
@@ -166,7 +164,7 @@ def test_fundamental_matrix_calabi_eigenvalues():
     for n, want in ((2, [1.0, 1.0]), (3, [2.0, 2.0 / 3.0, 2.0 / 3.0])):
         chart = zoo.calabi_torus(n).chart
         u = _points(chart, 1, seed=10)[0]
-        s = fundamental_matrix(sigma_at(chart, frame_at(chart, u)))
+        s = fundamental_matrix(_sigma(chart, u))
         assert np.max(np.abs(sym_eigen(s).values - want)) < 1e-10
 
 
@@ -186,8 +184,7 @@ def test_spectrum_fields():
 def test_spectrum_normb2_matches_sigma_norm():
     for entry in ENTRIES:
         chart = entry.chart
-        u = _points(chart, 1, seed=11)[0]
-        sig = sigma_at(chart, frame_at(chart, u))
+        sig = _sigma(chart, _points(chart, 1, seed=11)[0])
         spec = spectrum_of(fundamental_matrix(sig))
         assert abs(spec.normB2 - float(np.sum(sig * sig))) < 1e-10
 
@@ -221,8 +218,7 @@ def test_frame_rotation_invariance():
     rng = np.random.default_rng(14)
     for entry in ENTRIES:
         chart = entry.chart
-        u = _points(chart, 1, seed=15)[0]
-        sig = sigma_at(chart, frame_at(chart, u))
+        sig = _sigma(chart, _points(chart, 1, seed=15)[0])
         spec0 = spectrum_of(fundamental_matrix(sig))
         q = random_orthogonal(rng, chart.dim)
         rot = np.einsum("abc,ai,bj,ck->ijk", sig, q, q, q)
@@ -242,7 +238,7 @@ def test_gauss_rank_on_zoo():
 def test_f_m_values():
     chart = zoo.calabi_torus(3).chart
     u = _points(chart, 1, seed=17)[0]
-    s = fundamental_matrix(sigma_at(chart, frame_at(chart, u)))
+    s = fundamental_matrix(_sigma(chart, u))
     f1, g1 = f_m(s, 1)
     assert abs(f1 - 10.0 / 3.0) < 1e-9
     f64, g64 = f_m(s, 64)
@@ -285,9 +281,7 @@ def test_simons_computed_sigma():
         if entry.simons_tol is None:
             continue
         chart = entry.chart
-        u = _points(chart, 1, seed=18)[0]
-        sig = sigma_at(chart, frame_at(chart, u))
-        res = simons_residual(sig)
+        res = simons_residual(_sigma(chart, _points(chart, 1, seed=18)[0]))
         if entry.simons_hard:
             assert res <= entry.simons_tol
         else:
@@ -342,8 +336,8 @@ def test_metric_derivative_matches_central_difference():
         exact = metric_derivative(jac, hess)
         assert np.array_equal(exact, exact.swapaxes(-1, -2))
         shifts = h * np.eye(n)
-        fd = np.stack([(induced_metric(pts + d, chart.jacobian(pts + d))[0]
-                        - induced_metric(pts - d, chart.jacobian(pts - d))[0]) / (2.0 * h)
+        fd = np.stack([(induced_metric(pts + d, chart.jet_eval(pts + d)[1])[0]
+                        - induced_metric(pts - d, chart.jet_eval(pts - d)[1])[0]) / (2.0 * h)
                        for d in shifts], axis=1)
         assert np.max(np.abs(fd - exact)) <= 2.0 * h**2 * (1.0 + np.max(np.abs(exact))), entry.name
 
@@ -370,16 +364,22 @@ def test_gauss_gap_below_nested_differences():
 def test_derivative_cross_check_on_zoo():
     for entry in ENTRIES:
         chart = entry.chart
-        for u in _points(chart, 50, seed=21):
-            d1, d2 = derivative_cross_check(chart, u)
-            assert d1 < 1e-6 and d2 < 1e-6
+        d1, d2 = derivative_cross_check(chart, _points(chart, 50, seed=21))
+        assert d1.shape == d2.shape == (50,)
+        assert np.all(d1 < 1e-6) and np.all(d2 < 1e-6)
+
+
+def test_derivative_cross_check_batched_matches_per_point():
+    for entry in zoo.default_entries():
+        chart = entry.chart
+        pts = _points(chart, 5, seed=24)
+        batched = np.stack(derivative_cross_check(chart, pts), axis=1)
+        single = [derivative_cross_check(chart, u) for u in pts]
+        assert all(isinstance(g, float) for pair in single for g in pair)
+        assert np.array_equal(batched, np.array(single)), entry.name
 
 
 # ---- negative controls -------------------------------------------------------------
-
-
-def _real(x):
-    return x.real_part() if isinstance(x, jets.Jet) else float(np.real(x))
 
 
 def test_non_legendrian_chart_flagged():
@@ -393,7 +393,7 @@ def test_non_legendrian_chart_flagged():
         (Interval(0.1, 1.4), Interval(0.0, 2 * np.pi, periodic=True)),
         fn,
     )
-    fr = frame_at(chart, np.array([0.7, 1.3]))
+    fr = point_data(chart, np.array([0.7, 1.3])).frame
     assert abs(np.linalg.norm(fr.F) - 1.0) < 1e-12
     assert legendrian_residual(fr) > 0.5
 
@@ -403,7 +403,7 @@ def test_non_minimal_chart_flagged():
         t1, t2 = u
         g = (jets.cis(t1), jets.cis(t2), (1.0 + 0.2 * jets.cos(t1)) * jets.cis(-(t1 + t2)))
         s = g[0] * jets.conj(g[0]) + g[1] * jets.conj(g[1]) + g[2] * jets.conj(g[2])
-        r = jets.sqrt(_real(s))
+        r = jets.sqrt(s.real_part())
         return tuple(c / r for c in g)
 
     chart = ImmersionChart(
@@ -411,23 +411,21 @@ def test_non_minimal_chart_flagged():
         (Interval(0.0, 2 * np.pi, periodic=True), Interval(0.0, 2 * np.pi, periodic=True)),
         fn,
     )
-    worst = 0.0
-    for u in _points(chart, 5, seed=22):
-        fr = frame_at(chart, u)
-        assert abs(np.linalg.norm(fr.F) - 1.0) < 1e-12
-        worst = max(worst, minimality_residual(sigma_at(chart, fr)))
-    assert worst > 0.01
+    pd = point_data(chart, _points(chart, 5, seed=22))
+    assert np.max(np.abs(np.linalg.norm(pd.frame.F, axis=-1) - 1.0)) < 1e-12
+    assert np.max(minimality_residual(pd.sigma)) > 0.01
 
 
 # ---- point_data convenience ---------------------------------------------------------
 
 
 def test_point_data_consistent_with_parts():
+    # a single point against its row of a batched call, and against its parts
     chart = zoo.calabi_torus(3).chart
     u = _points(chart, 1, seed=23)[0]
     pd = point_data(chart, u)
-    fr = frame_at(chart, u)
-    assert np.array_equal(pd.frame.e.shape, fr.e.shape)
-    assert np.max(np.abs(pd.sigma - sigma_at(chart, fr))) < 1e-15
+    row = point_data(chart, np.concatenate([u[None], _points(chart, 2, seed=24)]))
+    assert np.array_equal(pd.frame.e.shape, row.frame.e.shape[1:])
+    assert np.max(np.abs(pd.sigma - row.sigma[0])) < 1e-15
     assert np.max(np.abs(pd.smatrix - fundamental_matrix(pd.sigma))) < 1e-15
     assert abs(pd.spectrum.pinch - 4.0) < 1e-9

@@ -56,6 +56,23 @@ def test_family_rejects_nonorthogonal():
         MatrixFamily(n=2, mats=np.stack([a1, a2]))
 
 
+def test_family_orthogonality_relative_to_norms():
+    # scaling the tail by 1e150 turns rounding-level overlaps into ~1e284 in
+    # absolute terms; the family stays valid, and a real overlap (a fixed
+    # fraction of ||A_2|| ||A_3||) at the same scale is still rejected
+    rng = np.random.default_rng(150)
+    mats = random_orthogonal_family(rng, 4, m=3, norms=[1.0, 2.0, 1.0]).mats.copy()
+    mats[1:] *= 1e150
+    gram = np.einsum("aij,bij->ab", mats, mats)
+    assert np.max(np.abs(gram - np.diag(np.diag(gram)))) > lu.ORTHOGONALITY_TOL
+    fam = MatrixFamily(n=4, mats=mats)
+    assert np.array_equal(fam.mats, mats)
+    overlap = mats.copy()
+    overlap[2] = overlap[2] + 1e-6 * overlap[1]
+    with pytest.raises(FamilyValidationError, match="orthogonality"):
+        MatrixFamily(n=4, mats=overlap)
+
+
 def test_family_rejects_unsorted_tail():
     a1 = np.diag([1.0, 0.0, 0.0])
     a2 = np.zeros((3, 3))

@@ -2,32 +2,35 @@ import numpy as np
 import pytest
 
 from minleg import zoo
-from minleg.geometry import frame_at, point_data, scalar_curvature_intrinsic
-from minleg.verify import GridSpec, grid_points, sample_points
+from minleg.geometry import (
+    legendrian_residual,
+    minimality_residual,
+    point_data,
+    scalar_curvature_intrinsic,
+)
+from minleg.verify import SWEEP_CHUNK, GridSpec, grid_points, sample_points
 
 
 def _sweep_stats(entry, grid=None):
     """Residual and value extremes over the default offset grid."""
     chart = entry.chart
     pts, _ = grid_points(chart, grid or GridSpec())
-    from minleg.geometry import legendrian_residual, minimality_residual, sigma_at
-
     out = {
         "leg": 0.0, "min": 0.0, "sphere": 0.0,
         "normB2": 0.0, "lambdas": 0.0, "pinch": 0.0, "ranks": set(),
     }
     want_lam = np.asarray(entry.lambdas)
-    for u in pts:
-        pd = point_data(chart, u)
+    for lo in range(0, len(pts), SWEEP_CHUNK):
+        pd = point_data(chart, pts[lo:lo + SWEEP_CHUNK])
         fr = pd.frame
-        out["leg"] = max(out["leg"], legendrian_residual(fr))
-        out["min"] = max(out["min"], minimality_residual(pd.sigma))
-        out["sphere"] = max(out["sphere"], abs(np.linalg.norm(fr.F) - 1.0))
+        out["leg"] = max(out["leg"], np.max(legendrian_residual(fr)))
+        out["min"] = max(out["min"], np.max(minimality_residual(pd.sigma)))
+        out["sphere"] = max(out["sphere"], np.max(np.abs(np.linalg.norm(fr.F, axis=-1) - 1.0)))
         sp = pd.spectrum
-        out["normB2"] = max(out["normB2"], abs(sp.normB2 - entry.normB2))
+        out["normB2"] = max(out["normB2"], np.max(np.abs(sp.normB2 - entry.normB2)))
         out["lambdas"] = max(out["lambdas"], float(np.max(np.abs(sp.lambdas - want_lam))))
-        out["pinch"] = max(out["pinch"], abs(sp.pinch - entry.pinch))
-        out["ranks"].add(int(np.sum(sp.lambdas > 1e-8)))
+        out["pinch"] = max(out["pinch"], np.max(np.abs(sp.pinch - entry.pinch)))
+        out["ranks"].update(np.sum(sp.lambdas > 1e-8, axis=-1).tolist())
     return out
 
 
@@ -86,10 +89,8 @@ def test_equivariant_normalization_grid():
     entry = zoo.equivariant_sphere3()
     pts, _ = grid_points(entry.chart, GridSpec(points_per_dim=10))
     assert pts.shape[0] == 1000
-    worst = 0.0
-    for u in pts:
-        worst = max(worst, abs(np.linalg.norm(entry.chart.point(u)) - 1.0))
-    assert worst <= 1e-10
+    values = entry.chart.jet_eval(pts)[0]
+    assert np.max(np.abs(np.linalg.norm(values, axis=-1) - 1.0)) <= 1e-10
 
 
 def test_equivariant_spectrum_row():
@@ -104,8 +105,6 @@ def test_equivariant_spectrum_row():
 def test_flat_torus_row():
     entry = zoo.flat_legendrian_torus()
     chart = entry.chart
-    from minleg.geometry import minimality_residual
-
     for u in sample_points(chart, 20, seed=4):
         pd = point_data(chart, u)
         assert abs(pd.spectrum.normB2 - 2.0) <= 1e-9
@@ -113,7 +112,7 @@ def test_flat_torus_row():
     u = sample_points(chart, 1, seed=5)[0]
     assert abs(scalar_curvature_intrinsic(chart, u)) < 1e-3
     # the induced metric is constant: flat square torus scaled by 1/sqrt(3)
-    g = frame_at(chart, u).metric
+    g = point_data(chart, u).frame.metric
     assert np.allclose(g, [[2.0 / 3.0, 1.0 / 3.0], [1.0 / 3.0, 2.0 / 3.0]], atol=1e-12)
 
 
