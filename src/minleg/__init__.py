@@ -12,7 +12,6 @@ from .geometry import (
     Spectrum,
     apply_J,
     derivative_cross_check,
-    f_m,
     fundamental_matrix,
     gauss_rank,
     legendrian_residual,
@@ -23,7 +22,6 @@ from .geometry import (
     sigma_symmetry_defect,
     simons_residual,
     spectrum_of,
-    structure_constants_check,
 )
 from .lu_inequality import (
     FamilyValidationError,
@@ -37,7 +35,6 @@ from .lu_inequality import (
     lu_bound,
     lu_check,
     normalize_family,
-    save_family,
 )
 from .symmat import (
     EigenResult,

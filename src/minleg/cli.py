@@ -44,8 +44,10 @@ def _parse_grid(text: str) -> int | tuple[int, ...]:
     return parts[0] if len(parts) == 1 else tuple(parts)
 
 
-def _entry(args):
-    return get_entry(args.example, n=getattr(args, "n", None))
+def _example(args):
+    """(zoo entry, grid) named by the shared example flags."""
+    entry = get_entry(args.example, n=args.n)
+    return entry, GridSpec(points_per_dim=_parse_grid(args.grid), seed=args.seed)
 
 
 def _write(text: str, out_path: str | None):
@@ -64,8 +66,7 @@ def _cmd_zoo_list(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    entry = _entry(args)
-    grid = GridSpec(points_per_dim=_parse_grid(args.grid), seed=args.seed)
+    entry, grid = _example(args)
     tol = Tolerances(geometry=args.tol_geom, algebra=args.tol_alg, curvature=args.tol_curv)
     report = verify_chart(entry, grid=grid, tolerances=tol)
     _write(report.to_text(include_timing=not args.no_timing), args.out)
@@ -73,8 +74,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    entry = _entry(args)
-    grid = GridSpec(points_per_dim=_parse_grid(args.grid), seed=args.seed)
+    entry, grid = _example(args)
     scan = pinching_scan(entry.chart, grid=grid, quantity=args.quantity)
     _write(scan_to_csv(scan), args.csv)
     print(f"{scan.quantity}: min={_fmt(scan.vmin)} max={_fmt(scan.vmax)}", file=sys.stderr)
@@ -82,8 +82,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_integral(args) -> int:
-    entry = _entry(args)
-    grid = GridSpec(points_per_dim=_parse_grid(args.grid), seed=args.seed)
+    entry, grid = _example(args)
     value = integral_p1(entry.chart, grid=grid)
     print(_fmt(value))
     return 0
@@ -110,7 +109,7 @@ def _cmd_lu_check(args) -> int:
 
 def _cmd_lu_extremal(args) -> int:
     fam = canonical_extremal(args.n, args.k, args.mu)
-    report = lu_check(fam, tol=1e-12)
+    report = lu_check(fam)
     sys.stdout.write(_lu_report_doc(fam, report))
     if args.out:
         _write(family_to_text(fam), args.out)

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .jets import Jet
-from .symmat import sym_eigen, symmetrize
+from .symmat import sym_eigen
 
 PSD_TOL = 1e-10
 DEGENERACY_TOL = 1e-8
@@ -44,6 +44,8 @@ DEGENERACY_TOL = 1e-8
 # A scan over the zoo put the smallest worst-case Gauss gap between 5e-7 and
 # 2e-6; below that, rounding grows as 1/step.
 CURVATURE_STEP = 2e-6
+CROSS_CHECK_STEP = 1e-3
+GAUSS_RANK_TOL = 1e-8
 
 
 class DegeneratePointError(RuntimeError):
@@ -98,8 +100,9 @@ class ImmersionChart:
         return comps
 
     def jet_eval(self, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(F, dF, d2F) with shapes (2n+2,), (2n+2, n), (2n+2, n, n); a stack
-        of points u, shape (N, n), adds a leading axis N to each."""
+        """(F, dF, d2F) with shapes (2n+2,), (2n+2, n), (2n+2, n, n); points u
+        of any batch shape B + (n,) add the leading axes B to each, with the
+        same bits as the flattened (prod(B), n) call."""
         u = np.asarray(u, dtype=float)
         comps = self._components(Jet.variables(u))
         axis = u.ndim - 1
@@ -130,7 +133,6 @@ class PointFrame:
     e_i = sum_s a_is dF/du_s; metric is G_st = <dF_s, dF_t>; vol = sqrt(det G).
     """
 
-    u: np.ndarray
     F: np.ndarray
     e: np.ndarray
     a: np.ndarray
@@ -174,7 +176,7 @@ def _frame_from(u, f, jac) -> PointFrame:
         e[..., i, :] = w / nrm[..., None]
         coeff[..., i, :] = c / nrm[..., None]
     metric, vol = induced_metric(u, jac)
-    return PointFrame(u=u, F=f, e=e, a=coeff, metric=metric, vol=vol)
+    return PointFrame(F=f, e=e, a=coeff, metric=metric, vol=vol)
 
 
 def _sigma_from(frame: PointFrame, hess: np.ndarray) -> np.ndarray:
@@ -234,17 +236,12 @@ class Spectrum:
     ricci_eigs: np.ndarray
     scalar: float | np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.lambdas.shape[-1]
-
 
 def spectrum_of(s: np.ndarray) -> Spectrum:
-    s = symmetrize(s)
-    n = s.shape[-1]
+    values = sym_eigen(s).values
+    n = values.shape[-1]
     if n < 2:
         raise ValueError("spectrum needs n >= 2 (lambda_2 is used)")
-    values = sym_eigen(s).values
     lowest = np.min(values[..., -1])
     if lowest < -PSD_TOL:
         raise NonPSDError(f"fundamental matrix has eigenvalue {lowest:.3e} < -{PSD_TOL}")
@@ -258,22 +255,11 @@ def spectrum_of(s: np.ndarray) -> Spectrum:
     )
 
 
-def gauss_rank(spec: Spectrum, tol: float = 1e-8) -> int:
-    """Number of eigenvalues above tol; the rank of the Gauss-map differential."""
-    return int(np.sum(spec.lambdas > tol))
-
-
-def f_m(s: np.ndarray, m: int) -> tuple[float, float]:
-    """Power sums of the fundamental spectrum: f = sum lambda_i^m, g = f^(1/m).
-
-    g increases to lambda_1 as m grows, which gives a derivative-free handle
-    on the top eigenvalue.
-    """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError("m must be a positive integer")
-    lam = np.clip(spectrum_of(s).lambdas, 0.0, None)
-    f = float(np.sum(lam**m))
-    return f, f ** (1.0 / m)
+def gauss_rank(spec: Spectrum) -> int | np.ndarray:
+    """Number of eigenvalues above GAUSS_RANK_TOL; the rank of the Gauss-map
+    differential.  A stack of spectra gives one rank per point."""
+    ranks = np.sum(spec.lambdas > GAUSS_RANK_TOL, axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def simons_residual(sigma: np.ndarray) -> float:
@@ -298,17 +284,6 @@ def simons_residual(sigma: np.ndarray) -> float:
         double += sj @ inner - inner @ sj
     resid = lin - double
     return float(np.max(np.sqrt(np.einsum("lab,lab->l", resid, resid))))
-
-
-def structure_constants_check(norm_b2: float) -> tuple[float, float]:
-    """Gauss curvature and log-Laplacian forced on a 3-dim parallel-rank-2 block.
-
-    K = 2 - 8/|B|^2 and Delta log |B|^2 = 32/|B|^2 - 6; at |B|^2 = 16/3 these
-    are (1/2, 0), at |B|^2 = 8 they are (1, -2).
-    """
-    if norm_b2 <= 0.0:
-        raise ValueError("|B|^2 must be positive")
-    return 2.0 - 8.0 / norm_b2, 32.0 / norm_b2 - 6.0
 
 
 @dataclass(frozen=True)
@@ -346,26 +321,23 @@ def metric_derivative(jac: np.ndarray, hess: np.ndarray) -> np.ndarray:
     return a + a.swapaxes(-1, -2)
 
 
-def scalar_curvature_intrinsic(chart: ImmersionChart, u,
-                               step: float = CURVATURE_STEP) -> float | np.ndarray:
+def scalar_curvature_intrinsic(chart: ImmersionChart, u) -> float | np.ndarray:
     """Scalar curvature from the induced metric alone.
 
     G and its first derivatives dG come exact from the jets, so the
     Christoffel symbols are exact; only their derivatives are central
-    differences with the given step, O(step^2) in truncation.  The route never
-    touches sigma or the complex structure; it is the independent oracle for
-    the Gauss-equation relation R = n(n-1) - |B|^2.  u of shape (n,) gives a
+    differences with step CURVATURE_STEP, O(step^2) in truncation.  The route
+    never touches sigma or the complex structure; it is the independent oracle
+    for the Gauss-equation relation R = n(n-1) - |B|^2.  u of shape (n,) gives a
     float; a stack of shape (N, n) gives shape (N,), with the 2n+1 stencil
     points of every sample in one batched jet evaluation.
     """
     u = np.asarray(u, dtype=float)
     n = chart.dim
-    h = step * np.eye(n)
+    h = CURVATURE_STEP * np.eye(n)
     # per sample: the centre, then u + h e_m and u - h e_m for each m
     stencil = np.concatenate([u[..., None, :], u[..., None, :] + h, u[..., None, :] - h], axis=-2)
-    _, jac, hess = chart.jet_eval(stencil.reshape(-1, n))
-    jac = jac.reshape(stencil.shape[:-1] + jac.shape[-2:])
-    hess = hess.reshape(stencil.shape[:-1] + hess.shape[-3:])
+    _, jac, hess = chart.jet_eval(stencil)
     metric, _ = induced_metric(stencil, jac)
     ginvs = np.linalg.inv(metric)
     dg = metric_derivative(jac, hess)
@@ -374,7 +346,7 @@ def scalar_curvature_intrinsic(chart: ImmersionChart, u,
     gammas = np.einsum("...kl,...lst->...kst", ginvs, lowered)
     ginv, gamma = ginvs[..., 0, :, :], gammas[..., 0, :, :, :]
     # dgamma[..., m, k, s, t] = d_m Gamma^k_st
-    dgamma = (gammas[..., 1:n + 1, :, :, :] - gammas[..., n + 1:, :, :, :]) / (2.0 * step)
+    dgamma = (gammas[..., 1:n + 1, :, :, :] - gammas[..., n + 1:, :, :, :]) / (2.0 * CURVATURE_STEP)
     term1 = np.einsum("...sskt,...kt->...", dgamma, ginv)
     term2 = np.einsum("...tsks,...kt->...", dgamma, ginv)
     term3 = np.einsum("...ssl,...lkt,...kt->...", gamma, gamma, ginv)
@@ -386,10 +358,10 @@ def scalar_curvature_intrinsic(chart: ImmersionChart, u,
 # ---- derivative cross-check -------------------------------------------------
 
 
-def derivative_cross_check(chart: ImmersionChart, u,
-                           step: float = 1e-3) -> tuple[float | np.ndarray, float | np.ndarray]:
+def derivative_cross_check(chart: ImmersionChart, u) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Max-abs gaps between jet derivatives and a Richardson central-difference
-    reference built from point values only: (first-order gap, second-order gap).
+    reference built from point values only, at steps CROSS_CHECK_STEP and half
+    of it: (first-order gap, second-order gap).
 
     The point values come from the val channel of one batched jet_eval over
     the whole stencil, centre included.  u of shape (n,) gives two floats; a
@@ -401,14 +373,12 @@ def derivative_cross_check(chart: ImmersionChart, u,
     si, ti = np.triu_indices(n, 1)
     # directions e_s, then e_s + e_t and e_s - e_t for s < t, at steps h and h/2
     dirs = np.concatenate([eye, eye[si] + eye[ti], eye[si] - eye[ti]])
-    steps = (step, step / 2.0)
+    steps = (CROSS_CHECK_STEP, CROSS_CHECK_STEP / 2.0)
     shifts = np.concatenate([h * dirs for h in steps])
     centre = u[..., None, :]
     stencil = np.concatenate([centre, centre + shifts, centre - shifts], axis=-2)
-    f, jac, hess = chart.jet_eval(stencil.reshape(-1, n))
-    vals = f.reshape(stencil.shape[:-1] + f.shape[-1:])
-    jac = jac.reshape(stencil.shape[:-1] + jac.shape[-2:])[..., 0, :, :]
-    hess = hess.reshape(stencil.shape[:-1] + hess.shape[-3:])[..., 0, :, :, :]
+    vals, jac, hess = chart.jet_eval(stencil)
+    jac, hess = jac[..., 0, :, :], hess[..., 0, :, :, :]
     f0 = vals[..., :1, :]
     plus, minus = np.split(vals[..., 1:, :], 2, axis=-2)
 

@@ -34,17 +34,13 @@ class Jet:
     @staticmethod
     def variables(u):
         """Jets for the coordinate functions at the point u, shape (d,), or at
-        each row of u, shape (N, d)."""
+        each point of a batch u, shape B + (d,)."""
         u = np.asarray(u, dtype=float)
         batch, d = u.shape[:-1], u.shape[-1]
         eye = np.eye(d)
         zero = np.zeros(batch + (d, d))
         return [Jet(u[..., i].copy(), np.broadcast_to(eye[i], batch + (d,)), zero)
                 for i in range(d)]
-
-    @staticmethod
-    def constant(value, d):
-        return Jet(value, np.zeros(d), np.zeros((d, d)))
 
     # ---- ring operations ------------------------------------------------
 

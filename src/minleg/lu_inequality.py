@@ -30,6 +30,7 @@ log = logging.getLogger(__name__)
 
 ORTHOGONALITY_TOL = 1e-10
 NORM_ORDER_SLACK = 1e-10
+EQUALITY_TOL = 1e-12
 
 
 class FamilyValidationError(ValueError):
@@ -38,7 +39,8 @@ class FamilyValidationError(ValueError):
 
 @dataclass(frozen=True)
 class MatrixFamily:
-    """A validated family: unit A_1, descending norms, pairwise HS-orthogonal."""
+    """A validated family: unit A_1, descending norms, pairwise HS-orthogonal,
+    finite squared norms and bound."""
 
     n: int
     mats: np.ndarray  # shape (m, n, n)
@@ -54,7 +56,12 @@ class MatrixFamily:
             raise FamilyValidationError("matrix entries must be finite")
         if np.max(np.abs(mats - np.transpose(mats, (0, 2, 1)))) > 0.0:
             raise FamilyValidationError("matrices must be exactly symmetric (use symmetrize)")
-        norms = np.sqrt(np.einsum("aij,aij->a", mats, mats))
+        with np.errstate(over="ignore"):
+            norms2 = np.einsum("aij,aij->a", mats, mats)
+            bound = _bound(norms2)
+        if not (np.all(np.isfinite(norms2)) and math.isfinite(bound)):
+            raise FamilyValidationError("squared norms overflow: ||A_a||^2 and the bound must be finite")
+        norms = np.sqrt(norms2)
         if abs(norms[0] - 1.0) > ORTHOGONALITY_TOL:
             raise FamilyValidationError(f"||A_1|| = {norms[0]!r}, expected 1 (normalize first)")
         if np.any(norms[1:-1] < norms[2:] - NORM_ORDER_SLACK):
@@ -70,9 +77,6 @@ class MatrixFamily:
     @property
     def m(self) -> int:
         return self.mats.shape[0]
-
-    def norms(self) -> np.ndarray:
-        return np.sqrt(np.einsum("aij,aij->a", self.mats, self.mats))
 
 
 @dataclass(frozen=True)
@@ -106,16 +110,19 @@ def normalize_family(raw: Sequence[np.ndarray]) -> MatrixFamily:
     return MatrixFamily(n=n, mats=stack)
 
 
+def _bound(norms2: np.ndarray) -> float:
+    """||A_2||^2 + sum_{a>=2} ||A_a||^2 from the squared norms (zero for m = 1)."""
+    return float(norms2[1:2].sum() + norms2[1:].sum())
+
+
 def lu_bound(fam: MatrixFamily) -> float:
     """Right-hand side ||A_2||^2 + sum_{a>=2} ||A_a||^2 (zero for m = 1)."""
-    norms2 = np.einsum("aij,aij->a", fam.mats, fam.mats)
-    if fam.m == 1:
-        return 0.0
-    return float(norms2[1] + norms2[1:].sum())
+    return _bound(np.einsum("aij,aij->a", fam.mats, fam.mats))
 
 
-def lu_check(fam: MatrixFamily, tol: float = 1e-12) -> LuReport:
-    """Evaluate both sides of the inequality; slack = rhs - lhs."""
+def lu_check(fam: MatrixFamily) -> LuReport:
+    """Evaluate both sides of the inequality; slack = rhs - lhs, and an
+    equality is |slack| <= EQUALITY_TOL."""
     a1 = fam.mats[0]
     lhs = 0.0
     for a in fam.mats[1:]:
@@ -123,7 +130,7 @@ def lu_check(fam: MatrixFamily, tol: float = 1e-12) -> LuReport:
         lhs += frobenius_inner(c, c)
     rhs = lu_bound(fam)
     slack = rhs - lhs
-    return LuReport(lhs=float(lhs), rhs=rhs, slack=float(slack), is_equality=abs(slack) <= tol)
+    return LuReport(lhs=float(lhs), rhs=rhs, slack=float(slack), is_equality=abs(slack) <= EQUALITY_TOL)
 
 
 def canonical_extremal(n: int, k: int, mu: float = 1.0) -> MatrixFamily:
@@ -280,8 +287,7 @@ def extremal_search(
         raise ValueError("restarts must be positive")
     norms = np.concatenate([[1.0], profile])
     with np.errstate(over="ignore"):
-        norms2 = norms * norms
-        ceiling = 0.0 if profile.size == 0 else float(norms2[1] + norms2[1:].sum())
+        ceiling = _bound(norms * norms)
     if not math.isfinite(ceiling):
         raise ValueError(f"norm profile {profile.tolist()} overflows the squared-norm bound")
     best_value, best_mats = -math.inf, None
@@ -348,11 +354,6 @@ def family_from_text(text: str, strict: bool = True) -> MatrixFamily:
     if strict:
         return MatrixFamily(n=n, mats=np.stack(mats))
     return normalize_family(mats)
-
-
-def save_family(fam: MatrixFamily, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(family_to_text(fam))
 
 
 def load_family(path, strict: bool = True) -> MatrixFamily:

@@ -59,12 +59,13 @@ class EigenResult(NamedTuple):
     vectors: np.ndarray  # columns, matching order
 
 
-def sym_eigen(a, max_sweeps: int = MAX_SWEEPS) -> EigenResult:
+def sym_eigen(a) -> EigenResult:
     """Eigendecomposition by cyclic Jacobi rotations.
 
     Sweeps pivots in fixed row order (0,1), (0,2), ..., (n-2,n-1) until the
     off-diagonal Frobenius norm drops below JACOBI_TOL * (1 + ||A||_F), so the
-    result is deterministic for a given input.  Eigenvalues are returned in
+    result is deterministic for a given input; no convergence within MAX_SWEEPS
+    sweeps raises JacobiConvergenceError.  Eigenvalues are returned in
     descending order with stable tie ordering.
 
     A stack of matrices, shape B + (n, n), is solved in lockstep: at each
@@ -80,7 +81,7 @@ def sym_eigen(a, max_sweeps: int = MAX_SWEEPS) -> EigenResult:
     aq = np.concatenate([a, np.broadcast_to(np.eye(n), a.shape)], axis=1)
     a, q = aq[:, :n], aq[:, n:]
     offdiag = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps + 1):
+    for _ in range(MAX_SWEEPS + 1):
         off = a[:, offdiag]
         active = np.sqrt((off * off).sum(axis=1)) >= stop
         if not active.any():
@@ -106,7 +107,7 @@ def sym_eigen(a, max_sweeps: int = MAX_SWEEPS) -> EigenResult:
                 m[:, p, r] = m[:, r, p] = 0.0
                 aq[k] = m
     else:
-        raise JacobiConvergenceError(f"Jacobi sweeps did not converge within {max_sweeps} sweeps")
+        raise JacobiConvergenceError(f"Jacobi sweeps did not converge within {MAX_SWEEPS} sweeps")
     values = np.diagonal(a, axis1=1, axis2=2)
     order = np.argsort(-values, axis=1, kind="stable")
     values = np.take_along_axis(values, order, axis=1)

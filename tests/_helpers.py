@@ -1,9 +1,22 @@
-"""Shared random generators for the test suite."""
+"""Shared random generators and subprocess environment for the test suite."""
+
+import os
+from pathlib import Path
 
 import numpy as np
 
 from minleg.lu_inequality import MatrixFamily
 from minleg.symmat import frobenius_inner, frobenius_norm
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def checkout_env():
+    """os.environ with this checkout's src/ first on PYTHONPATH, so a
+    subprocess imports the same minleg as the tests."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def random_symmetric(rng, n, scale=1.0):

@@ -8,7 +8,7 @@ import sys
 import time
 
 import numpy as np
-from _helpers import random_orthogonal, random_orthogonal_family
+from _helpers import checkout_env, random_orthogonal, random_orthogonal_family
 
 from minleg.geometry import (
     derivative_cross_check,
@@ -160,7 +160,7 @@ def test_criterion_09_invariance_suite():
 def test_criterion_10_report_determinism():
     cmd = [sys.executable, "-m", "minleg", "verify", "--example", "calabi",
            "--n", "3", "--grid", "24", "--no-timing"]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    first = subprocess.run(cmd, capture_output=True, check=True, env=checkout_env())
+    second = subprocess.run(cmd, capture_output=True, check=True, env=checkout_env())
     ok = first.stdout == second.stdout and len(first.stdout) > 0
     _verdict(10, ok, f"{len(first.stdout)} report bytes, byte-identical={ok}")

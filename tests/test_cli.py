@@ -227,15 +227,20 @@ def test_lu_check_invalid_family(tmp_path, capsys):
     ('{"n": 2, "mats": [[1, 0, 0, "x"]]}', "'mats'"),
     ('{"n": 2, "mats": [[1, 0, [0, 1], 0]]}', "'mats'"),
     ('{"n": 2, "mats": [[1, 0, 0, NaN]]}', "'mats'"),
+    # a squared norm that overflows, and finite squared norms whose bound does
+    ('{"n": 2, "mats": [[1, 0, 0, 0], [0, 1e200, 1e200, 0]]}', "overflow"),
+    ('{"n": 2, "mats": [[1, 0, 0, 0], [0, 9e153, 9e153, 0]]}', "overflow"),
 ])
-def test_lu_check_malformed_family_document(tmp_path, capsys, doc, field):
+def test_lu_check_malformed_family_document(tmp_path, capsys, recwarn, doc, field):
     path = tmp_path / "family.json"
     path.write_text(doc)
     code = main(["lu", "check", "--file", str(path)])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert code == 1
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert field in err
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert field in captured.err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_lu_extremal_bad_k(capsys):

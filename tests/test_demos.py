@@ -4,12 +4,12 @@ Demo 02 is left out: it runs only `lu search`, which has its own tests, and
 takes several seconds.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from _helpers import checkout_env
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -20,9 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
     "04_curvature_oracles.py",
 ])
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
+    result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=checkout_env(),
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout

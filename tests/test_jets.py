@@ -4,15 +4,13 @@ from minleg import jets
 from minleg.jets import Jet
 
 
-def test_variables_and_constant():
+def test_variables():
     u = np.array([0.3, -1.2])
     x, y = Jet.variables(u)
     assert x.val == 0.3 and y.val == -1.2
     assert np.array_equal(x.grad, [1.0, 0.0])
     assert np.array_equal(y.grad, [0.0, 1.0])
     assert np.all(x.hess == 0.0)
-    c = Jet.constant(5.0, 2)
-    assert c.val == 5.0 and np.all(c.grad == 0.0) and np.all(c.hess == 0.0)
 
 
 def test_product_rule_polynomial():

@@ -19,7 +19,6 @@ from minleg.lu_inequality import (
     normalize_family,
     objective_gradients,
     objective_value,
-    save_family,
 )
 
 from _helpers import random_orthogonal, random_orthogonal_family, random_symmetric
@@ -90,7 +89,7 @@ def test_normalize_family_rescales_and_sorts():
     big = np.zeros((3, 3))
     big[0, 2] = big[2, 0] = 1.5
     fam = normalize_family([a1, small, big])
-    norms = fam.norms()
+    norms = np.linalg.norm(fam.mats, axis=(1, 2))
     assert abs(norms[0] - 1.0) < 1e-15
     # whole-family rescale by 1/2, then tail sorted descending
     assert abs(norms[1] - 1.5 * np.sqrt(2) / 2.0) < 1e-15
@@ -142,7 +141,7 @@ def test_canonical_extremal_equality_grid():
         for k in range(1, n):
             for mu in (0.0, 0.3, 1.0, 2.0):
                 fam = canonical_extremal(n, k, mu)
-                rep = lu_check(fam, tol=1e-12)
+                rep = lu_check(fam)
                 assert abs(rep.slack) <= 1e-12, (n, k, mu, rep.slack)
                 assert rep.is_equality
 
@@ -220,8 +219,7 @@ def test_gradient_against_finite_differences():
 def test_search_two_by_two_reaches_bound():
     best, fam = extremal_search(2, (1.0,), restarts=50, seed=0)
     assert abs(best - 2.0) < 1e-9
-    rep = lu_check(fam, tol=1e-9)
-    assert rep.is_equality
+    assert abs(lu_check(fam).slack) <= 1e-9
 
 
 def test_search_zero_profile():
@@ -401,7 +399,7 @@ def test_family_text_round_trip_bit_exact():
 def test_family_file_round_trip(tmp_path):
     fam = canonical_extremal(4, 2, mu=0.7)
     path = tmp_path / "fam.json"
-    save_family(fam, path)
+    path.write_text(family_to_text(fam), encoding="ascii")
     clone = load_family(path)
     assert np.array_equal(fam.mats, clone.mats)
 
@@ -415,7 +413,7 @@ def test_family_from_text_lenient_mode():
     with pytest.raises(FamilyValidationError):
         family_from_text(text)
     fixed = family_from_text(text, strict=False)
-    assert abs(fixed.norms()[0] - 1.0) < 1e-12
+    assert abs(np.linalg.norm(fixed.mats[0]) - 1.0) < 1e-12
 
 
 def test_family_from_text_malformed():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import minleg.symmat as symmat
 from minleg.symmat import (
     JacobiConvergenceError,
     commutator,
@@ -162,10 +163,11 @@ def test_eigen_named_examples():
     assert np.array_equal(sym_eigen(np.zeros((4, 4))).values, np.zeros(4))
 
 
-def test_eigen_convergence_error():
+def test_eigen_convergence_error(monkeypatch):
+    monkeypatch.setattr(symmat, "MAX_SWEEPS", 0)
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(JacobiConvergenceError):
-        sym_eigen(a, max_sweeps=0)
+        sym_eigen(a)
 
 
 def test_eigen_input_not_mutated():
