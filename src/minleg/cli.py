@@ -6,7 +6,8 @@ included), 3 numerical failure (a degenerate chart point, a fundamental
 matrix that is not positive semidefinite, or Jacobi sweeps that do not
 converge).  Every error prints one `error:` line to stderr.  Reports go to
 --out or stdout; diagnostics go to stderr.  Grids are evaluated in one
-thread, in fixed-size batches; the batch size never changes report bytes.
+thread, in batches sized to the chart dimension; the batch size never
+changes report bytes.
 """
 
 from __future__ import annotations

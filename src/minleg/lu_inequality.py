@@ -100,12 +100,18 @@ def normalize_family(raw: Sequence[np.ndarray]) -> MatrixFamily:
     n = mats[0].shape[0]
     if any(a.shape != (n, n) for a in mats):
         raise FamilyValidationError("all matrices must share one dimension")
-    lead_norm = frobenius_norm(mats[0])
-    if lead_norm == 0.0:
-        raise FamilyValidationError("A_1 must be nonzero")
-    stack = np.stack(mats) / lead_norm
-    rest = stack[1:]
-    order = np.argsort(-np.sqrt(np.einsum("aij,aij->a", rest, rest)), kind="stable")
+    # Dividing first by 2^e, with e the binary exponent of max |A_1|, is exact
+    # and puts ||A_1|| in [1/2, n], so its square cannot overflow.  A tail that
+    # overflows is left to MatrixFamily to reject, without a warning.
+    _, e = np.frexp(np.max(np.abs(mats[0])))
+    with np.errstate(over="ignore"):
+        stack = np.ldexp(np.stack(mats), -e)
+        lead_norm = frobenius_norm(stack[0])
+        if lead_norm == 0.0:
+            raise FamilyValidationError("A_1 must be nonzero")
+        stack = stack / lead_norm
+        rest = stack[1:]
+        order = np.argsort(-np.sqrt(np.einsum("aij,aij->a", rest, rest)), kind="stable")
     stack = np.concatenate([stack[:1], rest[order]], axis=0)
     return MatrixFamily(n=n, mats=stack)
 
@@ -270,7 +276,9 @@ def extremal_search(
     restart index), so every restart is reproducible bit for bit on its own.
     Returns the best value and family over all restarts (ties resolved by
     lowest restart index).  Logs the count of each exit reason at INFO, and
-    a WARNING when any restart ran out of iterations.
+    a WARNING when any restart ran out of iterations.  The search runs at the
+    profile divided by its largest entry p, and returns the tail scaled back
+    by p and the value by p^2, so the result does not depend on the scale.
     """
     profile = np.asarray(norm_profile, dtype=float)
     if n < 2:
@@ -287,9 +295,13 @@ def extremal_search(
         raise ValueError("restarts must be positive")
     norms = np.concatenate([[1.0], profile])
     with np.errstate(over="ignore"):
-        ceiling = _bound(norms * norms)
-    if not math.isfinite(ceiling):
-        raise ValueError(f"norm profile {profile.tolist()} overflows the squared-norm bound")
+        if not math.isfinite(_bound(norms * norms)):
+            raise ValueError(f"norm profile {profile.tolist()} overflows the squared-norm bound")
+    # Phi and the bound are homogeneous of degree 2 in the tail, so the search
+    # runs at the profile scaled to max 1 and its result is scaled back.
+    scale = profile[0] if profile.size and profile[0] > 0.0 else 1.0
+    norms[1:] /= scale
+    ceiling = _bound(norms * norms)
     best_value, best_mats = -math.inf, None
     exits = dict.fromkeys(EXIT_REASONS, 0)
     steps = 0
@@ -310,6 +322,8 @@ def extremal_search(
             n, exits["max_iters"], restarts, MAX_ITERS,
         )
     best_mats = (best_mats + np.transpose(best_mats, (0, 2, 1))) / 2.0
+    best_mats[1:] *= scale
+    best_value *= scale * scale
     fam = MatrixFamily(n=n, mats=best_mats)
     bound = lu_bound(fam)
     if bound - best_value <= 1e-6:

@@ -41,9 +41,12 @@ from .geometry import (
 )
 from .zoo import ZooEntry
 
-# Grid points per batched evaluation.  Every point is computed independently
-# of its chunk, so the chunk size bounds memory and never changes results.
-SWEEP_CHUNK = 128
+# d2F entries per batched evaluation.  A batch of B points holds B (2n+2) n^2
+# of them, so low-dimensional charts get larger batches, and n >= 5 stays at
+# the floor of SWEEP_MIN_BATCH points.  Every point is computed independently
+# of its batch, so the batch size bounds memory and never changes results.
+SWEEP_ENTRIES = 2**15
+SWEEP_MIN_BATCH = 128
 SAMPLE_MARGIN = 0.05
 
 
@@ -142,38 +145,32 @@ def sample_points(chart: ImmersionChart, count: int, seed: int) -> np.ndarray:
 # ---- grid sweep --------------------------------------------------------------
 
 
-@dataclass
-class _SweepData:
-    lambdas: np.ndarray    # (N, n) descending per point
-    normB2: np.ndarray
-    pinch: np.ndarray
-    ranks: np.ndarray
-    legendrian: np.ndarray
-    minimality: np.ndarray
-    symmetry: np.ndarray
-    sqrtdetg: np.ndarray
+def _batches(pts: np.ndarray) -> list[np.ndarray]:
+    """pts split in grid order into equal batches of at most
+    max(SWEEP_MIN_BATCH, SWEEP_ENTRIES // ((2n+2) n^2)) points."""
+    n = pts.shape[1]
+    size = max(SWEEP_MIN_BATCH, SWEEP_ENTRIES // ((2 * n + 2) * n * n))
+    return np.array_split(pts, -(-pts.shape[0] // size))
 
 
-def _chunks(pts: np.ndarray):
-    for lo in range(0, pts.shape[0], SWEEP_CHUNK):
-        yield pts[lo:lo + SWEEP_CHUNK]
+def _sweep(chart: ImmersionChart, pts: np.ndarray):
+    """point_data of each batch of pts, in grid order; each driver keeps
+    only the columns it reads."""
+    for batch in _batches(pts):
+        yield point_data(chart, batch)
 
 
-def _sweep(chart: ImmersionChart, pts: np.ndarray) -> _SweepData:
-    parts = []
-    for chunk in _chunks(pts):
-        pd = point_data(chart, chunk)
-        parts.append((pd.spectrum.lambdas, pd.spectrum.normB2, pd.spectrum.pinch,
-                      gauss_rank(pd.spectrum), legendrian_residual(pd.frame),
-                      minimality_residual(pd.sigma), sigma_symmetry_defect(pd.sigma), pd.frame.vol))
-    return _SweepData(*(np.concatenate(column) for column in zip(*parts)))
+def _concat(parts) -> list[np.ndarray]:
+    """Per-batch tuples of columns, joined column by column."""
+    return [np.concatenate(column) for column in zip(*parts)]
 
 
-def _p1_and_volume(data: _SweepData, wts: np.ndarray) -> tuple[float, float]:
+def _p1_and_volume(lambdas: np.ndarray, normB2: np.ndarray, sqrtdetg: np.ndarray,
+                   wts: np.ndarray) -> tuple[float, float]:
     """(p1, volume): quadratures of lambda_1 (n + 1 - |B|^2 - lambda_2) dM and of dM."""
-    n = data.lambdas.shape[1]
-    integrand = data.lambdas[:, 0] * (n + 1.0 - data.normB2 - data.lambdas[:, 1])
-    return float(np.sum(integrand * data.sqrtdetg * wts)), float(np.sum(data.sqrtdetg * wts))
+    n = lambdas.shape[1]
+    integrand = lambdas[:, 0] * (n + 1.0 - normB2 - lambdas[:, 1])
+    return float(np.sum(integrand * sqrtdetg * wts)), float(np.sum(sqrtdetg * wts))
 
 
 # ---- reports -----------------------------------------------------------------
@@ -273,7 +270,24 @@ def verify_chart(
     expected = entry if isinstance(entry, ZooEntry) else None
     chart = entry.chart if isinstance(entry, ZooEntry) else entry
     pts, wts = grid_points(chart, grid)
-    data = _sweep(chart, pts)
+    size = pts.shape[0]
+    simons = expected is not None and expected.simons_tol is not None
+    spts = sample_points(chart, 20, seed=grid.seed + 7)
+    # One batched pass over the grid rows, then the curvature samples, then the
+    # Simons point; every residual, rank and spectrum reads the grid rows only.
+    rows = [pts, spts]
+    if simons:
+        rows.append(sample_points(chart, 1, seed=grid.seed + 101))
+    parts = []
+    for pd in _sweep(chart, np.concatenate(rows)):
+        sp = pd.spectrum
+        parts.append((sp.lambdas, sp.normB2, sp.pinch, pd.frame.vol, gauss_rank(sp),
+                      legendrian_residual(pd.frame), minimality_residual(pd.sigma),
+                      sigma_symmetry_defect(pd.sigma), sp.scalar))
+    *columns, scalar = _concat(parts)
+    lambdas, normB2, pinch, sqrtdetg, ranks, legendrian, minimality, symmetry = (
+        column[:size] for column in columns)
+    r_gauss = scalar[size:size + len(spts)]
 
     checks: list[CheckResult] = []
 
@@ -281,49 +295,42 @@ def verify_chart(
         residual = float(residual)
         checks.append(CheckResult(name, residual, float(tolerance), residual <= tolerance, hard))
 
-    add("legendrian", data.legendrian.max(), tol.geometry)
-    add("minimality", data.minimality.max(), tol.geometry)
-    add("sigma_symmetry", data.symmetry.max(), tol.geometry)
-    add("psd", max(0.0, -float(data.lambdas[:, -1].min())), tol.algebra)
+    add("legendrian", legendrian.max(), tol.geometry)
+    add("minimality", minimality.max(), tol.geometry)
+    add("sigma_symmetry", symmetry.max(), tol.geometry)
+    add("psd", max(0.0, -float(lambdas[:, -1].min())), tol.algebra)
 
     if expected is not None:
-        add("pinch_expected", np.max(np.abs(data.pinch - expected.pinch)), expected.value_tol)
-        add("normB2_expected", np.max(np.abs(data.normB2 - expected.normB2)), expected.value_tol)
+        add("pinch_expected", np.max(np.abs(pinch - expected.pinch)), expected.value_tol)
+        add("normB2_expected", np.max(np.abs(normB2 - expected.normB2)), expected.value_tol)
         add(
             "lambdas_expected",
-            np.max(np.abs(data.lambdas - np.asarray(expected.lambdas))),
+            np.max(np.abs(lambdas - np.asarray(expected.lambdas))),
             expected.value_tol,
         )
-        add("gauss_rank", np.count_nonzero(data.ranks != expected.gauss_rank), 0.5)
+        add("gauss_rank", np.count_nonzero(ranks != expected.gauss_rank), 0.5)
     else:
-        add("gauss_rank", np.count_nonzero(data.ranks != data.ranks[0]), 0.5)
+        add("gauss_rank", np.count_nonzero(ranks != ranks[0]), 0.5)
 
-    if expected is not None and expected.simons_tol is not None:
-        spt = sample_points(chart, 1, seed=grid.seed + 101)[0]
-        add(
-            "simons",
-            simons_residual(point_data(chart, spt).sigma),
-            expected.simons_tol,
-            hard=expected.simons_hard,
-        )
+    if simons:
+        # the Simons point is the last row of the last batch
+        add("simons", simons_residual(pd.sigma[-1]), expected.simons_tol, hard=expected.simons_hard)
 
-    spts = sample_points(chart, 20, seed=grid.seed + 7)
-    r_gauss = point_data(chart, spts).spectrum.scalar
     r_intrinsic = scalar_curvature_intrinsic(chart, spts)
     add("scalar_curvature", np.max(np.abs(r_intrinsic - r_gauss)), tol.curvature)
 
     integrals = {}
     if chart.closed:
-        integrals["p1"], integrals["volume"] = _p1_and_volume(data, wts)
+        integrals["p1"], integrals["volume"] = _p1_and_volume(lambdas, normB2, sqrtdetg, wts)
         add("integral_p1_nonpositive", max(0.0, integrals["p1"]), tol.quadrature)
 
     spectra = {
-        "lambda_min": [float(x) for x in data.lambdas.min(axis=0)],
-        "lambda_max": [float(x) for x in data.lambdas.max(axis=0)],
-        "normB2_min": float(data.normB2.min()),
-        "normB2_max": float(data.normB2.max()),
-        "pinch_min": float(data.pinch.min()),
-        "pinch_max": float(data.pinch.max()),
+        "lambda_min": [float(x) for x in lambdas.min(axis=0)],
+        "lambda_max": [float(x) for x in lambdas.max(axis=0)],
+        "normB2_min": float(normB2.min()),
+        "normB2_max": float(normB2.max()),
+        "pinch_min": float(pinch.min()),
+        "pinch_max": float(pinch.max()),
     }
     passed = all(c.passed for c in checks if c.hard)
     return VerificationReport(
@@ -344,14 +351,16 @@ def integral_p1(chart: ImmersionChart, grid: GridSpec | None = None) -> float:
         raise ValueError(f"chart {chart.name} does not cover a closed manifold")
     grid = grid or GridSpec()
     pts, wts = grid_points(chart, grid)
-    return _p1_and_volume(_sweep(chart, pts), wts)[0]
+    columns = _concat((pd.spectrum.lambdas, pd.spectrum.normB2, pd.frame.vol)
+                      for pd in _sweep(chart, pts))
+    return _p1_and_volume(*columns, wts)[0]
 
 
 def chart_volume(chart: ImmersionChart, grid: GridSpec | None = None) -> float:
     """Quadrature of sqrt(det G); doubling the grid should barely move it."""
     grid = grid or GridSpec()
     pts, wts = grid_points(chart, grid)
-    vols = [induced_metric(chunk, chart.jet_eval(chunk)[1])[1] for chunk in _chunks(pts)]
+    vols = [induced_metric(batch, chart.jet_eval(batch)[1])[1] for batch in _batches(pts)]
     return float(np.sum(np.concatenate(vols) * wts))
 
 
@@ -371,33 +380,31 @@ def pinching_scan(chart: ImmersionChart, grid: GridSpec | None = None,
                   quantity: str = "pinch") -> ScanResult:
     """Tabulate a spectral quantity over the grid: pinch, normB2, R_plus_mu2,
     or lambda_k (1-based k)."""
-    grid = grid or GridSpec()
-    pts, _ = grid_points(chart, grid)
-    data = _sweep(chart, pts)
     n = chart.dim
-    if quantity == "pinch":
-        values = data.pinch
+    if quantity in ("pinch", "R_plus_mu2"):
+        column = lambda sp: sp.pinch
     elif quantity == "normB2":
-        values = data.normB2
-    elif quantity == "R_plus_mu2":
-        # pinch + (R + mu_2) = n^2 - 1 pointwise
-        values = (n * n - 1.0) - data.pinch
+        column = lambda sp: sp.normB2
     elif quantity.startswith("lambda_"):
         k = int(quantity.split("_", 1)[1])
         if not 1 <= k <= n:
             raise ValueError(f"lambda index out of range 1..{n}")
-        values = data.lambdas[:, k - 1]
+        column = lambda sp: sp.lambdas[:, k - 1]
     else:
         raise ValueError(f"unknown quantity {quantity!r}; use one of "
                          f"{', '.join(QUANTITIES)} or lambda_<k>")
-    values = np.asarray(values, dtype=float)
+    grid = grid or GridSpec()
+    pts, _ = grid_points(chart, grid)
+    values = np.concatenate([column(pd.spectrum) for pd in _sweep(chart, pts)])
+    if quantity == "R_plus_mu2":
+        # pinch + (R + mu_2) = n^2 - 1 pointwise
+        values = (n * n - 1.0) - values
     return ScanResult(quantity, pts, values, float(values.min()), float(values.max()))
 
 
 def scan_to_csv(scan: ScanResult) -> str:
     dim = scan.points.shape[1]
     header = ",".join([f"u{i + 1}" for i in range(dim)] + ["value"])
-    lines = [header]
-    for row, val in zip(scan.points, scan.values):
-        lines.append(",".join(f"{x:.17g}" for x in row) + f",{val:.17g}")
-    return "\n".join(lines) + "\n"
+    row = ",".join(["{:.17g}"] * (dim + 1)).format
+    rows = np.column_stack((scan.points, scan.values)).tolist()
+    return "\n".join([header] + [row(*r) for r in rows]) + "\n"

@@ -230,6 +230,8 @@ def test_lu_check_invalid_family(tmp_path, capsys):
     # a squared norm that overflows, and finite squared norms whose bound does
     ('{"n": 2, "mats": [[1, 0, 0, 0], [0, 1e200, 1e200, 0]]}', "overflow"),
     ('{"n": 2, "mats": [[1, 0, 0, 0], [0, 9e153, 9e153, 0]]}', "overflow"),
+    # a tail that overflows once divided by a tiny ||A_1||
+    ('{"n": 2, "mats": [[1e-300, 0, 0, 0], [0, 1e10, 1e10, 0]]}', "finite"),
 ])
 def test_lu_check_malformed_family_document(tmp_path, capsys, recwarn, doc, field):
     path = tmp_path / "family.json"
@@ -240,6 +242,17 @@ def test_lu_check_malformed_family_document(tmp_path, capsys, recwarn, doc, fiel
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert field in captured.err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_lu_check_huge_lead_matrix(tmp_path, capsys, recwarn):
+    # ||A_1|| = 1e200 is normalized without squaring an overflowing entry
+    path = tmp_path / "family.json"
+    path.write_text('{"n": 2, "mats": [[1e200, 0, 0, 0]]}')
+    code = main(["lu", "check", "--file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert json.loads(captured.out)["is_equality"] is True
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
@@ -270,6 +283,21 @@ def test_lu_search_large_profile(capsys):
     assert code == 0, captured.err
     doc = json.loads(captured.out)
     assert doc["profile"] == [1e153] and doc["gap"] >= 0.0
+
+
+def test_lu_search_scale_invariant(capsys):
+    # Phi and the bound scale as the square of the profile, and so does the
+    # search: at 1e3 it reaches the bound as closely as at 1
+    docs = []
+    for profile in ("1", "1e3"):
+        code = main(["lu", "search", "--n", "3", "--profile", profile, "--restarts", "4",
+                     "--seed", "1"])
+        assert code == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    unit, big = docs
+    assert unit["gap"] <= 1e-10 * unit["bound"]
+    assert big["gap"] <= 1e-10 * big["bound"]
+    assert abs(big["best_value"] - 1e6 * unit["best_value"]) <= 1e-9 * big["bound"]
 
 
 def test_lu_search_json(tmp_path, capsys):

@@ -264,15 +264,51 @@ def test_scan_csv_format():
 
 
 def test_sweep_chunk_size_invariant(monkeypatch):
-    # every grid point is computed independently of the chunk it lands in, so
-    # report bytes never depend on the chunk size; 7 leaves a partial chunk
+    # every grid point is computed independently of the batch it lands in, so
+    # report, integral and CSV bytes never depend on the batch size: 1-point
+    # batches, a split into batches of 6 and 7 points, and one whole-grid batch
     entry = zoo.calabi_torus(3)
     spec = GridSpec(points_per_dim=6)
-    texts = []
-    for chunk in (1, 7, 6 ** 3):
-        monkeypatch.setattr(verify, "SWEEP_CHUNK", chunk)
-        texts.append(verify_chart(entry, spec).to_text(include_timing=False))
-    assert texts[0] == texts[1] == texts[2]
+    dfe = (2 * 3 + 2) * 3 * 3  # d2F entries per point at n = 3
+    outputs = []
+    for floor, entries in ((1, 0), (1, 7 * dfe), (6 ** 3, 0)):
+        monkeypatch.setattr(verify, "SWEEP_MIN_BATCH", floor)
+        monkeypatch.setattr(verify, "SWEEP_ENTRIES", entries)
+        outputs.append((
+            verify_chart(entry, spec).to_text(include_timing=False),
+            integral_p1(entry.chart, spec).hex(),
+            scan_to_csv(pinching_scan(entry.chart, spec, quantity="lambda_2")),
+        ))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_sweep_batch_rule():
+    # n >= 5 keeps 128-point batches; n <= 4 batches hold at most
+    # SWEEP_ENTRIES d2F entries; batches are equal to within one point
+    for n in range(2, 14):
+        sizes = [len(b) for b in verify._batches(np.zeros((1000, n)))]
+        assert sum(sizes) == 1000 and max(sizes) - min(sizes) <= 1, n
+        if n >= 5:
+            assert len(sizes) == 8 and max(sizes) <= 128, n
+        else:
+            assert max(sizes) * (2 * n + 2) * n * n <= verify.SWEEP_ENTRIES, n
+            assert max(sizes) > 128, n
+    assert [len(b) for b in verify._batches(np.zeros((1000, 3)))] == [334, 333, 333]
+
+
+def test_integral_and_scan_skip_residuals(monkeypatch):
+    # the integral and the scan read spectra and volumes only
+    def refuse(*args):
+        raise AssertionError("integral and scan must not compute residuals or ranks")
+
+    for name in ("legendrian_residual", "minimality_residual", "sigma_symmetry_defect",
+                 "gauss_rank"):
+        monkeypatch.setattr(verify, name, refuse)
+    chart = zoo.equivariant_sphere3().chart
+    spec = GridSpec(points_per_dim=4)
+    integral_p1(chart, spec)
+    for quantity in ("pinch", "normB2", "R_plus_mu2", "lambda_3"):
+        pinching_scan(chart, spec, quantity=quantity)
 
 
 def _close(batched, single, tol):

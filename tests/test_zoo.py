@@ -8,7 +8,7 @@ from minleg.geometry import (
     point_data,
     scalar_curvature_intrinsic,
 )
-from minleg.verify import SWEEP_CHUNK, GridSpec, grid_points, sample_points
+from minleg.verify import GridSpec, _sweep, grid_points, sample_points
 
 
 def _sweep_stats(entry, grid=None):
@@ -20,8 +20,7 @@ def _sweep_stats(entry, grid=None):
         "normB2": 0.0, "lambdas": 0.0, "pinch": 0.0, "ranks": set(),
     }
     want_lam = np.asarray(entry.lambdas)
-    for lo in range(0, len(pts), SWEEP_CHUNK):
-        pd = point_data(chart, pts[lo:lo + SWEEP_CHUNK])
+    for pd in _sweep(chart, pts):
         fr = pd.frame
         out["leg"] = max(out["leg"], np.max(legendrian_residual(fr)))
         out["min"] = max(out["min"], np.max(minimality_residual(pd.sigma)))
