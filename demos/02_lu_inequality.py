@@ -61,10 +61,11 @@ print()
 # ---- projected ascent finds the bound from random starts ---------------------
 
 print("search: n = 4, tail norm profile (1, 1, 1), 20 restarts, seed 0")
-best, best_fam = extremal_search(4, (1.0, 1.0, 1.0), restarts=20, seed=0)
+best, best_fam, stats = extremal_search(4, (1.0, 1.0, 1.0), restarts=20, seed=0)
 bound = lu_bound(best_fam)
 print(f"  bound     = {bound:.15f}")
 print(f"  best Phi  = {best:.15f}")
 print(f"  gap       = {bound - best:.3e}")
+print(f"  exits     = {stats.exits}, {stats.steps} gradient steps")
 print("  leading matrix of the best family (eigenvalues):")
 print(f"  {np.linalg.eigvalsh(best_fam.mats[0])}")

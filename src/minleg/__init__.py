@@ -27,6 +27,7 @@ from .lu_inequality import (
     FamilyValidationError,
     LuReport,
     MatrixFamily,
+    SearchStats,
     canonical_extremal,
     extremal_search,
     family_from_text,

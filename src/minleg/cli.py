@@ -119,7 +119,7 @@ def _cmd_lu_extremal(args) -> int:
 
 def _cmd_lu_search(args) -> int:
     profile = tuple(float(p) for p in args.profile.split(","))
-    best, fam = extremal_search(args.n, profile, restarts=args.restarts, seed=args.seed)
+    best, fam, stats = extremal_search(args.n, profile, restarts=args.restarts, seed=args.seed)
     bound = lu_bound(fam)
     doc = {
         "n": args.n,
@@ -129,6 +129,8 @@ def _cmd_lu_search(args) -> int:
         "best_value": float(best),
         "bound": float(bound),
         "gap": float(bound - best),
+        "exits": stats.exits,
+        "gradient_steps": stats.steps,
     }
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     if args.out:

@@ -207,14 +207,17 @@ def _retract(mats: np.ndarray, norms: np.ndarray) -> np.ndarray | None:
 def _project_gradient(grad: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """Remove components along span{A_1, ..., A_m} from each slot, in place.
 
-    The family is HS-orthogonal, so slot-wise removal is an exact projection;
-    at a constrained critical point the projected gradient vanishes.
+    With G and W the slots flattened to rows, G -= ((G W^T) * inv) W, where
+    inv_b = 1/||A_b||^2 (0 for a zero slot).  The family is HS-orthogonal, so
+    this is an exact projection; at a constrained critical point the projected
+    gradient vanishes.
     """
-    norms2 = np.einsum("aij,aij->a", mats, mats)
-    for b in range(mats.shape[0]):
-        if norms2[b] > 0.0:
-            coef = np.einsum("aij,ij->a", grad, mats[b]) / norms2[b]
-            grad -= coef[:, None, None] * mats[b]
+    m = mats.shape[0]
+    g = grad.reshape(m, -1)
+    w = mats.reshape(m, -1)
+    norms2 = np.einsum("ak,ak->a", w, w)
+    inv = np.divide(1.0, norms2, out=np.zeros(m), where=norms2 > 0.0)
+    g -= ((g @ w.T) * inv) @ w
     return grad
 
 
@@ -222,6 +225,11 @@ GRAD_TOL = 1e-8
 MAX_ITERS = 10_000
 ARMIJO = 1e-4
 STEP0 = 0.1
+# Every STALL_STEPS gradient steps, a restart whose value rose by no more than
+# STALL_TOL * max(1, ceiling) since the previous check sits at a lower
+# critical level (2 + sqrt(2) at profile (1, 1, 1)), and stops.
+STALL_STEPS = 200
+STALL_TOL = 1e-10
 
 
 def _search_single(
@@ -241,10 +249,16 @@ def _search_single(
     value = objective_value(mats)
     # Phi can never exceed the proven bound, so stop once it is reached.
     reached = 1e-12 * max(1.0, ceiling)
+    stall_rise = STALL_TOL * max(1.0, ceiling)
+    anchor = value
     step = STEP0
     for it in range(MAX_ITERS):
         if ceiling - value <= reached:
             return value, mats, "ceiling", it
+        if it and it % STALL_STEPS == 0:
+            if value - anchor <= stall_rise:
+                return value, mats, "stalled", it
+            anchor = value
         proj = _project_gradient(objective_gradients(mats), mats)
         gnorm2 = float(np.einsum("aij,aij->", proj, proj))
         if math.sqrt(gnorm2) < GRAD_TOL:
@@ -263,22 +277,32 @@ def _search_single(
     return value, mats, "max_iters", MAX_ITERS
 
 
-EXIT_REASONS = ("ceiling", "grad_tol", "step_underflow", "max_iters")
+EXIT_REASONS = ("ceiling", "grad_tol", "step_underflow", "stalled", "max_iters")
+
+
+@dataclass(frozen=True)
+class SearchStats:
+    """How the restarts of one extremal search ended."""
+
+    exits: dict  # restarts per exit reason, in EXIT_REASONS order
+    steps: int  # gradient steps over all restarts
 
 
 def extremal_search(
     n: int, norm_profile: Sequence[float], restarts: int = 20, seed: int = 0
-) -> tuple[float, MatrixFamily]:
+) -> tuple[float, MatrixFamily, SearchStats]:
     """Maximize Phi over families with ||A_1|| = 1 and ||A_a|| fixed.
 
     Projected gradient ascent with backtracking line search.  Restarts run
     serially; each draws its start from a sub-seeded generator (seed,
     restart index), so every restart is reproducible bit for bit on its own.
     Returns the best value and family over all restarts (ties resolved by
-    lowest restart index).  Logs the count of each exit reason at INFO, and
-    a WARNING when any restart ran out of iterations.  The search runs at the
-    profile divided by its largest entry p, and returns the tail scaled back
-    by p and the value by p^2, so the result does not depend on the scale.
+    lowest restart index) and the SearchStats of the run.  Logs the stats at
+    INFO, with the distinct final values (9 significant digits) of the
+    restarts short of the ceiling, and a WARNING when any restart ran out of
+    iterations.  The search runs at the profile divided by its largest entry
+    p, and returns the tail scaled back by p and the value by p^2, so the
+    result does not depend on the scale.
     """
     profile = np.asarray(norm_profile, dtype=float)
     if n < 2:
@@ -305,16 +329,22 @@ def extremal_search(
     best_value, best_mats = -math.inf, None
     exits = dict.fromkeys(EXIT_REASONS, 0)
     steps = 0
+    levels = set()
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         value, mats, reason, taken = _search_single(n, norms, ceiling, rng)
         exits[reason] += 1
         steps += taken
+        if reason != "ceiling":
+            levels.add(f"{value * scale * scale:.9g}")
         if value > best_value:
             best_value, best_mats = value, mats
+    stats = SearchStats(exits=exits, steps=steps)
     log.info(
-        "extremal search n=%d: %d restarts, %d gradient steps, exits %s",
+        "extremal search n=%d: %d restarts, %d gradient steps, exits %s, "
+        "final values below the bound: %s",
         n, restarts, steps, " ".join(f"{k}={v}" for k, v in exits.items()),
+        " ".join(sorted(levels, key=float)) or "none",
     )
     if exits["max_iters"]:
         log.warning(
@@ -332,7 +362,7 @@ def extremal_search(
             "extremal family within %.3e of the bound %.17g:\n%s",
             bound - best_value, bound, family_to_text(fam),
         )
-    return float(best_value), fam
+    return float(best_value), fam, stats
 
 
 # ---- serialization ---------------------------------------------------------

@@ -25,7 +25,9 @@ def symmetrize(a) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    return (a + a.swapaxes(-1, -2)) / 2.0
+    # A/2 + A^T/2 cannot overflow, and gives the bits of (A + A^T) / 2 above the subnormals
+    half = a / 2.0
+    return half + half.swapaxes(-1, -2)
 
 
 def frobenius_inner(a, b) -> float:

@@ -93,7 +93,7 @@ def test_criterion_04_lu_fuzz_and_equality_grid():
 
 def test_criterion_05_optimizer_reaches_bound():
     t0 = time.perf_counter()
-    best, _ = extremal_search(4, (1.0, 1.0, 1.0), restarts=100, seed=2024)
+    best, _, _ = extremal_search(4, (1.0, 1.0, 1.0), restarts=100, seed=2024)
     elapsed = time.perf_counter() - t0
     ok = 4.0 - 1e-4 <= best <= 4.0 + 1e-6 and elapsed < 30.0
     _verdict(5, ok, f"best {best:.12f}, {elapsed:.1f}s for 100 restarts")

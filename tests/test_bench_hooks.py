@@ -8,7 +8,11 @@ it fail here instead.  The benchmark's file is imported, never modified.
 """
 
 import importlib.util
+import logging
+import re
 from pathlib import Path
+
+import minleg.lu_inequality as lu
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -36,3 +40,17 @@ def test_tracer_installs_and_restores():
     after = [owner.__dict__[attr] for owner, attr, _ in spans.TARGETS]
     assert all(d is not b for d, b in zip(during, before))
     assert all(a is b for a, b in zip(after, before))
+
+
+def test_objective_gradient_calls_are_the_logged_steps(caplog):
+    # the lu-search workload counts objective_gradients calls as its items,
+    # so a search must make exactly one per gradient step it reports
+    spans = _load_spans()
+    with caplog.at_level(logging.INFO, logger="minleg.lu_inequality"):
+        with spans.Tracer(spans=False) as tracer:
+            _, _, stats = lu.extremal_search(4, (1.0, 1.0, 1.0), restarts=8, seed=3)
+    logged = [int(m.group(1)) for m in re.finditer(r"(\d+) gradient steps", caplog.text)]
+    assert logged == [stats.steps]
+    assert tracer.counts["lu_inequality.objective_gradients"] == stats.steps
+    # this run has restarts that end at the ceiling, in the line search and at a stall
+    assert stats.exits["ceiling"] and stats.exits["step_underflow"] and stats.exits["stalled"]

@@ -256,6 +256,19 @@ def test_lu_check_huge_lead_matrix(tmp_path, capsys, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_lu_check_entries_near_largest_double(tmp_path, capsys, recwarn):
+    # symmetrizing entries of 1.7e308 does not overflow, and the antisymmetric
+    # A_2 symmetrizes to zero, so this is the valid family of one matrix
+    path = tmp_path / "family.json"
+    path.write_text('{"n": 2, "mats": [[1.7e308, 1.7e308, 1.7e308, 1.7e308], [0, 1e200, -1e200, 0]]}')
+    code = main(["lu", "check", "--file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["lhs"] == doc["rhs"] == 0.0 and doc["is_equality"] is True
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_lu_extremal_bad_k(capsys):
     code = main(["lu", "extremal", "--n", "3", "--k", "3"])
     assert code == 2

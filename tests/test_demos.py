@@ -1,8 +1,4 @@
-"""The demos that exercise geometry and verify run to completion.
-
-Demo 02 is left out: it runs only `lu search`, which has its own tests, and
-takes several seconds.
-"""
+"""Every demo runs to completion."""
 
 import subprocess
 import sys
@@ -16,6 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("demo", [
     "01_zoo_tour.py",
+    "02_lu_inequality.py",
     "03_verification_reports.py",
     "04_curvature_oracles.py",
 ])

@@ -217,21 +217,21 @@ def test_gradient_against_finite_differences():
 
 
 def test_search_two_by_two_reaches_bound():
-    best, fam = extremal_search(2, (1.0,), restarts=50, seed=0)
+    best, fam, _ = extremal_search(2, (1.0,), restarts=50, seed=0)
     assert abs(best - 2.0) < 1e-9
     assert abs(lu_check(fam).slack) <= 1e-9
 
 
 def test_search_zero_profile():
-    best, fam = extremal_search(3, (0.0, 0.0), restarts=3, seed=1)
+    best, fam, _ = extremal_search(3, (0.0, 0.0), restarts=3, seed=1)
     assert best == 0.0
     assert lu_bound(fam) == 0.0
 
 
 def test_search_deterministic():
-    b1, f1 = extremal_search(3, (1.0, 0.5), restarts=5, seed=42)
-    b2, f2 = extremal_search(3, (1.0, 0.5), restarts=5, seed=42)
-    assert b1 == b2
+    b1, f1, s1 = extremal_search(3, (1.0, 0.5), restarts=5, seed=42)
+    b2, f2, s2 = extremal_search(3, (1.0, 0.5), restarts=5, seed=42)
+    assert b1 == b2 and s1 == s2
     assert np.array_equal(f1.mats, f2.mats)
 
 
@@ -242,7 +242,7 @@ def test_search_soundness_random_profiles():
         n = int(rng.integers(2, 5))
         m = int(rng.integers(1, n))
         profile = np.sort(rng.uniform(0.1, 1.5, size=m))[::-1]
-        best, fam = extremal_search(n, profile, restarts=3, seed=9)
+        best, fam, _ = extremal_search(n, profile, restarts=3, seed=9)
         assert best <= lu_bound(fam) + 1e-6
 
 
@@ -282,7 +282,8 @@ def test_search_logs_exit_reasons(caplog):
     info, warnings = _search_logs(caplog)
     assert len(info) == 1
     assert "5 restarts" in info[0]
-    assert "ceiling=5 grad_tol=0 step_underflow=0 max_iters=0" in info[0]
+    assert "ceiling=5 grad_tol=0 step_underflow=0 stalled=0 max_iters=0" in info[0]
+    assert info[0].endswith("final values below the bound: none")
     assert warnings == []
 
 
@@ -316,6 +317,32 @@ def test_search_names_grad_tol_and_step_underflow_exits(monkeypatch):
     monkeypatch.setattr(lu, "ARMIJO", math.inf)  # no step is ever accepted
     extremal_search(3, (1.0, 0.5), restarts=3, seed=1)
     assert exits == [("step_underflow", 1)] * 3
+
+
+def test_search_stalled_restarts_exit_at_second_critical_level(monkeypatch, caplog):
+    # criterion 05's inputs: the restarts short of the bound sit at value
+    # 2 + sqrt(2), and the stall rule ends them long before MAX_ITERS
+    ends = []
+    single = lu._search_single
+
+    def recording(*args):
+        result = single(*args)
+        ends.append((result[2], result[0], result[3]))  # (exit reason, value, gradient steps)
+        return result
+
+    monkeypatch.setattr(lu, "_search_single", recording)
+    with caplog.at_level(logging.INFO, logger="minleg.lu_inequality"):
+        _, _, stats = extremal_search(4, (1.0, 1.0, 1.0), restarts=100, seed=2024)
+    reasons = [reason for reason, _, _ in ends]
+    assert "max_iters" not in reasons
+    stalled = [value for reason, value, _ in ends if reason == "stalled"]
+    assert stalled
+    assert all(abs(value - (2.0 + math.sqrt(2.0))) <= 1e-9 for value in stalled)
+    assert stats.exits == {k: reasons.count(k) for k in lu.EXIT_REASONS}
+    assert list(stats.exits) == list(lu.EXIT_REASONS)
+    assert stats.steps == sum(taken for _, _, taken in ends)
+    info, _ = _search_logs(caplog)
+    assert info[0].endswith("final values below the bound: 3.41421356")
 
 
 # ---- the retraction against its original slot-by-slot form ---------------------
@@ -376,11 +403,52 @@ def test_retract_bit_identical_to_reference():
 
 @pytest.mark.parametrize("seed", [3, 7])
 def test_search_trajectory_identical_with_reference_retract(monkeypatch, seed):
-    best, fam = extremal_search(4, (1.0, 1.0, 1.0), restarts=8, seed=seed)
+    best, fam, _ = extremal_search(4, (1.0, 1.0, 1.0), restarts=8, seed=seed)
     monkeypatch.setattr(lu, "_retract", _reference_retract)
-    ref_best, ref_fam = extremal_search(4, (1.0, 1.0, 1.0), restarts=8, seed=seed)
+    ref_best, ref_fam, _ = extremal_search(4, (1.0, 1.0, 1.0), restarts=8, seed=seed)
     assert np.float64(best).tobytes() == np.float64(ref_best).tobytes()
     assert fam.mats.tobytes() == ref_fam.mats.tobytes()
+
+
+# ---- the gradient projection against its original slot-by-slot form ------------
+
+
+def _reference_project(grad, mats):
+    """Remove components along span{A_1, ..., A_m} from each slot, in place, one slot at a time."""
+    norms2 = np.einsum("aij,aij->a", mats, mats)
+    for b in range(mats.shape[0]):
+        if norms2[b] > 0.0:
+            coef = np.einsum("aij,ij->a", grad, mats[b]) / norms2[b]
+            grad -= coef[:, None, None] * mats[b]
+    return grad
+
+
+def test_project_gradient_matches_reference():
+    rng = np.random.default_rng(505)
+    cases = {"m=1": 0, "zero tail": 0, "full": 0}
+    for trial in range(1500):
+        m = 1 if trial % 5 == 0 else int(rng.integers(2, 6))
+        n = int(rng.integers(max(2, m), 7))
+        norms = np.concatenate([[1.0], np.sort(rng.uniform(0.0, 2.0, m - 1))[::-1]])
+        if trial % 5 in (1, 2) and m > 1:
+            norms[int(rng.integers(1, m)):] = 0.0
+        raw = rng.standard_normal((m, n, n))
+        mats = lu._retract((raw + np.transpose(raw, (0, 2, 1))) / 2.0, norms)
+        if trial % 2:
+            grad = lu.objective_gradients(mats)
+        else:
+            grad = rng.standard_normal((m, n, n))
+            grad = (grad + np.transpose(grad, (0, 2, 1))) * 10.0 ** rng.uniform(-3.0, 3.0)
+        scale = max(1.0, float(np.max(np.abs(grad))))
+        ref = _reference_project(grad.copy(), mats)
+        new = grad.copy()
+        assert lu._project_gradient(new, mats) is new  # in place
+        assert np.max(np.abs(new - ref)) <= 1e-13 * scale, trial
+        # the result is HS-orthogonal to every slot of the family
+        dots = np.einsum("aij,bij->ab", new, mats)
+        assert np.max(np.abs(dots)) <= 1e-12 * scale, trial
+        cases["m=1" if m == 1 else "zero tail" if norms[-1] == 0.0 else "full"] += 1
+    assert min(cases.values()) > 250, cases
 
 
 # ---- serialization -------------------------------------------------------------

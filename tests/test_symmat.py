@@ -21,6 +21,16 @@ def test_symmetrize_basic():
     assert s[0, 1] == 1.0
 
 
+def test_symmetrize_halves_before_adding():
+    # (A + A^T) / 2 bit for bit on normal entries, and no overflow near the largest double
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((50, 5, 5)) * 10.0 ** rng.uniform(-300.0, 300.0, (50, 1, 1))
+    assert symmetrize(a).tobytes() == ((a + a.swapaxes(-1, -2)) / 2.0).tobytes()
+    big = np.full((2, 2), 1.7e308)
+    big[0, 1] = -1.7e308
+    assert np.array_equal(symmetrize(big), [[1.7e308, 0.0], [0.0, 1.7e308]])
+
+
 def test_symmetrize_rejects_bad_input():
     with pytest.raises(ValueError):
         symmetrize(np.zeros((2, 3)))
