@@ -2,6 +2,23 @@
 
 __version__ = "0.1.0"
 
+
+class MinlegError(Exception):
+    """Base of minleg's errors: the command line prints prefix and the message
+    on one `error:` line and exits with exit_code (2, usage, unless overridden)."""
+
+    exit_code = 2
+    prefix = ""
+
+
+class NumericalFailure(MinlegError, RuntimeError):
+    """No trustworthy number: a degenerate chart point, a fundamental matrix that
+    is not PSD, Jacobi sweeps that do not converge, or a NaN bound for output."""
+
+    exit_code = 3
+    prefix = "numerical failure: "
+
+
 from .geometry import (
     DegeneratePointError,
     ImmersionChart,

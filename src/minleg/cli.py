@@ -1,13 +1,12 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 verification failure (an invalid or malformed family
-document included), 2 usage error (a file that cannot be read or written
-included), 3 numerical failure (a degenerate chart point, a fundamental
-matrix that is not positive semidefinite, or Jacobi sweeps that do not
-converge).  Every error prints one `error:` line to stderr.  Reports go to
---out or stdout; diagnostics go to stderr.  Grids are evaluated in one
-thread, in batches sized to the chart dimension; the batch size never
-changes report bytes.
+Exit codes, each carried by a MinlegError class: 0 success, 1 verification
+failure (FamilyValidationError: an invalid or malformed family document
+included), 2 usage error (UnknownExampleError, and any ValueError or OSError
+from user text or files), 3 numerical failure (NumericalFailure).  Every
+error prints one `error:` line to stderr.  Reports go to --out or stdout;
+diagnostics go to stderr.  Grids are evaluated in one thread, in batches
+sized to the chart dimension; the batch size never changes report bytes.
 """
 
 from __future__ import annotations
@@ -16,28 +15,15 @@ import argparse
 import json
 import sys
 
-from . import __version__
-from .geometry import DegeneratePointError, NonPSDError
-from .lu_inequality import (
-    FamilyValidationError,
-    canonical_extremal,
-    extremal_search,
-    family_to_text,
-    load_family,
-    lu_bound,
-    lu_check,
-)
-from .symmat import JacobiConvergenceError
-from .verify import GridSpec, Tolerances, integral_p1, pinching_scan, scan_to_csv, verify_chart
-from .zoo import PARAMETRIC, UnknownExampleError, default_entries, get_entry
+from . import MinlegError, __version__
+from .lu_inequality import (canonical_extremal, extremal_search, family_to_text, load_family,
+                            lu_bound, lu_check)
+from .verify import (GRID_CAP, GridSpec, Tolerances, _fmt_float, integral_p1, pinching_scan,
+                     scan_to_csv, verify_chart)
+from .zoo import PARAMETRIC, default_entries, get_entry
 
-USAGE_ERROR = 2
 VERIFY_FAIL = 1
-NUMERICAL_FAILURE = 3
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+NUMERICAL_FAILURE = 3  # NumericalFailure.exit_code
 
 
 def _parse_grid(text: str) -> int | tuple[int, ...]:
@@ -46,9 +32,12 @@ def _parse_grid(text: str) -> int | tuple[int, ...]:
 
 
 def _example(args):
-    """(zoo entry, grid) named by the shared example flags."""
-    entry = get_entry(args.example, n=args.n)
-    return entry, GridSpec(points_per_dim=_parse_grid(args.grid), seed=args.seed)
+    """(zoo entry, grid) named by the shared example flags.  The grid is resolved
+    first, so a parametric dimension beyond the grid cap fails at once."""
+    grid = GridSpec(points_per_dim=_parse_grid(args.grid), seed=args.seed)
+    if args.example in PARAMETRIC and args.n is not None and args.n >= 2:
+        grid.resolve(args.n)
+    return get_entry(args.example, n=args.n), grid
 
 
 def _write(text: str, out_path: str | None):
@@ -78,14 +67,14 @@ def _cmd_scan(args) -> int:
     entry, grid = _example(args)
     scan = pinching_scan(entry.chart, grid=grid, quantity=args.quantity)
     _write(scan_to_csv(scan), args.csv)
-    print(f"{scan.quantity}: min={_fmt(scan.vmin)} max={_fmt(scan.vmax)}", file=sys.stderr)
+    print(f"{scan.quantity}: min={_fmt_float(scan.vmin)} max={_fmt_float(scan.vmax)}", file=sys.stderr)
     return 0
 
 
 def _cmd_integral(args) -> int:
     entry, grid = _example(args)
     value = integral_p1(entry.chart, grid=grid)
-    print(_fmt(value))
+    print(_fmt_float(value))
     return 0
 
 
@@ -159,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
                             f"parametric: {', '.join(sorted(PARAMETRIC))}")
         p.add_argument("--n", type=int, default=None, help="dimension for parametric examples")
         p.add_argument("--grid", default=grid_default,
-                       help="points per dimension (int or comma list), capped at 10000 total")
+                       help=f"points per dimension (int or comma list), capped at {GRID_CAP} total")
         p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
 
     verify = sub.add_parser("verify", help="run the check battery on an example",
@@ -222,21 +211,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UnknownExampleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except FamilyValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return VERIFY_FAIL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (DegeneratePointError, NonPSDError, JacobiConvergenceError) as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return NUMERICAL_FAILURE
-    except (ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    except (MinlegError, ValueError, OSError) as exc:
+        # a plain ValueError or OSError, from parsing user text or files, is a usage error
+        kind = exc if isinstance(exc, MinlegError) else MinlegError
+        print(f"error: {kind.prefix}{exc}", file=sys.stderr)
+        return kind.exit_code
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import NumericalFailure
 from .jets import Jet
 from .symmat import sym_eigen
 
@@ -48,11 +49,11 @@ CROSS_CHECK_STEP = 1e-3
 GAUSS_RANK_TOL = 1e-8
 
 
-class DegeneratePointError(RuntimeError):
+class DegeneratePointError(NumericalFailure):
     """Coordinate tangents fail to span an n-plane at the given point."""
 
 
-class NonPSDError(RuntimeError):
+class NonPSDError(NumericalFailure):
     """A fundamental matrix came out with an eigenvalue below -1e-10."""
 
 

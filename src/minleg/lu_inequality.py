@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import MinlegError
 from .symmat import commutator, frobenius_inner, frobenius_norm, symmetrize
 
 log = logging.getLogger(__name__)
@@ -31,10 +32,13 @@ log = logging.getLogger(__name__)
 ORTHOGONALITY_TOL = 1e-10
 NORM_ORDER_SLACK = 1e-10
 EQUALITY_TOL = 1e-12
+MAX_DIM = 256  # largest n of a built family: lu extremal at n = 256 peaks near 290 MB
 
 
-class FamilyValidationError(ValueError):
+class FamilyValidationError(MinlegError, ValueError):
     """The matrices fail the hypotheses of the inequality."""
+
+    exit_code = 1
 
 
 @dataclass(frozen=True)
@@ -145,6 +149,8 @@ def canonical_extremal(n: int, k: int, mu: float = 1.0) -> MatrixFamily:
     A_1 = diag(k, -1, ..., -1, 0, ..., 0) / sqrt(k(k+1)) with k entries -1,
     A_a = mu (E_{1a} + E_{a1}) for a = 2..k+1, and A_{k+2..n} = 0.
     """
+    if n > MAX_DIM:
+        raise ValueError(f"n={n} exceeds MAX_DIM={MAX_DIM}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
     lam = 1.0 / math.sqrt(k * (k + 1.0))
@@ -307,6 +313,8 @@ def extremal_search(
     profile = np.asarray(norm_profile, dtype=float)
     if n < 2:
         raise ValueError("n must be at least 2")
+    if n > MAX_DIM:
+        raise ValueError(f"n={n} exceeds MAX_DIM={MAX_DIM}")
     if profile.ndim != 1 or profile.size > n - 1:
         raise ValueError("norm profile must be 1-D with at most n-1 entries")
     if not np.all(np.isfinite(profile)):
@@ -382,17 +390,25 @@ def family_from_text(text: str, strict: bool = True) -> MatrixFamily:
     them through normalize_family first, which accepts hand-written files
     with unnormalized A_1 or unsorted tails.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("family document nests too deeply to parse") from None
     if not isinstance(doc, dict) or "n" not in doc or "mats" not in doc:
         raise FamilyValidationError("family document must be a JSON object with fields 'n' and 'mats'")
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise FamilyValidationError("field 'n' must be a positive integer")
     try:
+        # JSON numbers only: a string, boolean or list entry is rejected
+        if any(type(x) not in (int, float) for flat in doc["mats"] for x in flat):
+            raise TypeError
         mats = [np.asarray(flat, dtype=float).reshape(n, n) for flat in doc["mats"]]
     except (TypeError, ValueError):
         raise FamilyValidationError(
             f"field 'mats' must be a list of matrices, each a list of n*n = {n * n} numbers") from None
+    except OverflowError:  # an integer beyond double range, rejected like 1e400
+        mats = []
     if not mats or not all(np.all(np.isfinite(a)) for a in mats):
         raise FamilyValidationError("field 'mats' must hold at least one matrix, with finite entries")
     if strict:

@@ -13,6 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import NumericalFailure
+
 # Off-diagonal convergence threshold, relative to 1 + ||A||_F.
 JACOBI_TOL = 1e-14
 MAX_SWEEPS = 100
@@ -52,7 +54,7 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-class JacobiConvergenceError(RuntimeError):
+class JacobiConvergenceError(NumericalFailure):
     """Cyclic Jacobi sweeps did not converge within the sweep limit."""
 
 

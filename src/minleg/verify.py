@@ -1,6 +1,6 @@
 """Grid verification, quadrature and scan drivers.
 
-verify_chart sweeps a chart on an offset grid, evaluates every pointwise
+verify_chart sweeps a chart on a midpoint grid, evaluates every pointwise
 check (contact conditions, minimality, symmetry of the cubic form, positive
 semidefiniteness, expected spectral data, Gauss-rank stability), runs the
 per-chart extras (Simons-type identity where the example has parallel cubic
@@ -12,11 +12,11 @@ integral_p1 evaluates the integral obstruction
 
     int_M lambda_1 (n + 1 - |B|^2 - lambda_2) dM <= 0
 
-by product quadrature: offset grids give the midpoint rule transverse to the
-periodic directions and an equally-weighted (spectrally accurate) rule along
-them, with the volume factor sqrt(det G) from the analytic metric.  The
-omitted gradient term of the full inequality is non-negative, so dropping it
-only strengthens the <= 0 assertion.
+by product quadrature: the midpoint rule on every axis, which along the
+periodic directions is the equally-weighted (spectrally accurate) rule, with
+the volume factor sqrt(det G) from the analytic metric.  The omitted
+gradient term of the full inequality is non-negative, so dropping it only
+strengthens the <= 0 assertion.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
+from . import NumericalFailure, __version__
 from .geometry import (
     ImmersionChart,
     gauss_rank,
@@ -48,6 +48,7 @@ from .zoo import ZooEntry
 SWEEP_ENTRIES = 2**15
 SWEEP_MIN_BATCH = 128
 SAMPLE_MARGIN = 0.05
+GRID_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -59,19 +60,24 @@ class Tolerances:
     curvature: float = 1e-4      # curvature oracle (exact metric, differenced Christoffels)
     quadrature: float = 1e-6     # grid-dependent integral residuals
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"tolerance {name} must be finite and non-negative, got {value!r}")
+
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Evaluation grid: half-step offset from interval endpoints by default,
-    optional deterministic jitter, total size capped."""
+    """Evaluation grid: points_per_dim midpoint nodes per axis (one count for
+    every axis, or one per axis), GRID_CAP points in total at most.  seed
+    drives verify's sampled checks; the nodes do not depend on it."""
 
     points_per_dim: int | tuple[int, ...] = 16
-    offset: bool = True
     seed: int = 0
-    cap: int = 10_000
-    jitter: bool = False
 
     def resolve(self, dim: int) -> tuple[int, ...]:
+        if dim >= GRID_CAP.bit_length():  # 2**dim > GRID_CAP, without forming either
+            raise ValueError(f"cap {GRID_CAP} cannot hold 2 points per dimension")
         ppd = self.points_per_dim
         counts = list(ppd) if isinstance(ppd, (tuple, list)) else [int(ppd)] * dim
         if len(counts) != dim:
@@ -79,56 +85,32 @@ class GridSpec:
         if any(c < 2 for c in counts):
             raise ValueError("need at least 2 points per dimension")
         total = math.prod(counts)
-        if total > self.cap:
-            if self.cap < 2**dim:
-                raise ValueError(f"cap {self.cap} cannot hold 2 points per dimension")
-            factor = (self.cap / total) ** (1.0 / dim)
+        if total > GRID_CAP:
+            factor = (GRID_CAP / total) ** (1.0 / dim)
             counts = [max(2, int(c * factor)) for c in counts]
-            while math.prod(counts) > self.cap:
+            while math.prod(counts) > GRID_CAP:
                 counts[int(np.argmax(counts))] -= 1
         return tuple(counts)
 
     def echo(self, dim: int) -> dict:
         return {
             "points_per_dim": list(self.resolve(dim)),
-            "offset": self.offset,
-            "jitter": self.jitter,
+            "offset": True,
+            "jitter": False,
             "seed": self.seed,
-            "cap": self.cap,
+            "cap": GRID_CAP,
         }
 
 
 def grid_points(chart: ImmersionChart, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(points, weights): flattened product grid and quadrature weights."""
+    """(points, weights): the product of the axes' midpoint rules, flattened
+    in C order.  Every point carries the cell volume as its weight."""
     counts = spec.resolve(chart.dim)
-    axes, waxes = [], []
-    for iv, c in zip(chart.domain, counts):
-        if spec.offset:
-            h = iv.span / c
-            nodes = iv.lo + (np.arange(c) + 0.5) * h
-            weights = np.full(c, h)
-        elif iv.periodic:
-            h = iv.span / c
-            nodes = iv.lo + np.arange(c) * h
-            weights = np.full(c, h)
-        else:
-            h = iv.span / (c - 1)
-            nodes = np.linspace(iv.lo, iv.hi, c)
-            weights = np.full(c, h)
-            weights[0] = weights[-1] = h / 2.0
-        axes.append(nodes)
-        waxes.append(weights)
+    steps = [iv.span / c for iv, c in zip(chart.domain, counts)]
+    axes = [iv.lo + (np.arange(c) + 0.5) * h for iv, c, h in zip(chart.domain, counts, steps)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel(order="C") for m in mesh], axis=1)
-    wmesh = np.meshgrid(*waxes, indexing="ij")
-    wts = np.prod(np.stack([m.ravel(order="C") for m in wmesh], axis=1), axis=1)
-    if spec.jitter:
-        if not spec.offset:
-            raise ValueError("jitter requires offset grids")
-        rng = np.random.default_rng([spec.seed, 0x9E3779B9])
-        h = np.array([iv.span / c for iv, c in zip(chart.domain, counts)])
-        pts = pts + rng.uniform(-0.45, 0.45, size=pts.shape) * h
-    return pts, wts
+    return pts, np.full(pts.shape[0], math.prod(steps))
 
 
 def sample_points(chart: ImmersionChart, count: int, seed: int) -> np.ndarray:
@@ -221,8 +203,9 @@ class VerificationReport:
 
 
 def _fmt_float(x: float) -> str:
-    if x != x or math.isinf(x):
-        raise ValueError("reports must not contain NaN or infinity")
+    """x at 17 significant digits; a NaN or an infinity is a NumericalFailure."""
+    if not math.isfinite(x):
+        raise NumericalFailure("reports must not contain NaN or infinity")
     return f"{x:.17g}"
 
 
@@ -254,8 +237,8 @@ def _render(obj, indent: int = 0) -> str:
 
 def verify_chart(
     entry: ZooEntry | ImmersionChart,
-    grid: GridSpec | None = None,
-    tolerances: Tolerances | None = None,
+    grid: GridSpec = GridSpec(),
+    tolerances: Tolerances = Tolerances(),
 ) -> VerificationReport:
     """Run the full pointwise and per-chart check battery.
 
@@ -265,8 +248,6 @@ def verify_chart(
     fails as a whole.
     """
     t0 = time.perf_counter()
-    tol = tolerances or Tolerances()
-    grid = grid or GridSpec()
     expected = entry if isinstance(entry, ZooEntry) else None
     chart = entry.chart if isinstance(entry, ZooEntry) else entry
     pts, wts = grid_points(chart, grid)
@@ -295,10 +276,10 @@ def verify_chart(
         residual = float(residual)
         checks.append(CheckResult(name, residual, float(tolerance), residual <= tolerance, hard))
 
-    add("legendrian", legendrian.max(), tol.geometry)
-    add("minimality", minimality.max(), tol.geometry)
-    add("sigma_symmetry", symmetry.max(), tol.geometry)
-    add("psd", max(0.0, -float(lambdas[:, -1].min())), tol.algebra)
+    add("legendrian", legendrian.max(), tolerances.geometry)
+    add("minimality", minimality.max(), tolerances.geometry)
+    add("sigma_symmetry", symmetry.max(), tolerances.geometry)
+    add("psd", max(0.0, -float(lambdas[:, -1].min())), tolerances.algebra)
 
     if expected is not None:
         add("pinch_expected", np.max(np.abs(pinch - expected.pinch)), expected.value_tol)
@@ -317,12 +298,12 @@ def verify_chart(
         add("simons", simons_residual(pd.sigma[-1]), expected.simons_tol, hard=expected.simons_hard)
 
     r_intrinsic = scalar_curvature_intrinsic(chart, spts)
-    add("scalar_curvature", np.max(np.abs(r_intrinsic - r_gauss)), tol.curvature)
+    add("scalar_curvature", np.max(np.abs(r_intrinsic - r_gauss)), tolerances.curvature)
 
     integrals = {}
     if chart.closed:
         integrals["p1"], integrals["volume"] = _p1_and_volume(lambdas, normB2, sqrtdetg, wts)
-        add("integral_p1_nonpositive", max(0.0, integrals["p1"]), tol.quadrature)
+        add("integral_p1_nonpositive", max(0.0, integrals["p1"]), tolerances.quadrature)
 
     spectra = {
         "lambda_min": [float(x) for x in lambdas.min(axis=0)],
@@ -345,20 +326,18 @@ def verify_chart(
     )
 
 
-def integral_p1(chart: ImmersionChart, grid: GridSpec | None = None) -> float:
+def integral_p1(chart: ImmersionChart, grid: GridSpec = GridSpec()) -> float:
     """Quadrature of lambda_1 (n + 1 - |B|^2 - lambda_2) over the chart."""
     if not chart.closed:
         raise ValueError(f"chart {chart.name} does not cover a closed manifold")
-    grid = grid or GridSpec()
     pts, wts = grid_points(chart, grid)
     columns = _concat((pd.spectrum.lambdas, pd.spectrum.normB2, pd.frame.vol)
                       for pd in _sweep(chart, pts))
     return _p1_and_volume(*columns, wts)[0]
 
 
-def chart_volume(chart: ImmersionChart, grid: GridSpec | None = None) -> float:
+def chart_volume(chart: ImmersionChart, grid: GridSpec = GridSpec()) -> float:
     """Quadrature of sqrt(det G); doubling the grid should barely move it."""
-    grid = grid or GridSpec()
     pts, wts = grid_points(chart, grid)
     vols = [induced_metric(batch, chart.jet_eval(batch)[1])[1] for batch in _batches(pts)]
     return float(np.sum(np.concatenate(vols) * wts))
@@ -376,7 +355,7 @@ class ScanResult:
     vmax: float
 
 
-def pinching_scan(chart: ImmersionChart, grid: GridSpec | None = None,
+def pinching_scan(chart: ImmersionChart, grid: GridSpec = GridSpec(),
                   quantity: str = "pinch") -> ScanResult:
     """Tabulate a spectral quantity over the grid: pinch, normB2, R_plus_mu2,
     or lambda_k (1-based k)."""
@@ -393,7 +372,6 @@ def pinching_scan(chart: ImmersionChart, grid: GridSpec | None = None,
     else:
         raise ValueError(f"unknown quantity {quantity!r}; use one of "
                          f"{', '.join(QUANTITIES)} or lambda_<k>")
-    grid = grid or GridSpec()
     pts, _ = grid_points(chart, grid)
     values = np.concatenate([column(pd.spectrum) for pd in _sweep(chart, pts)])
     if quantity == "R_plus_mu2":

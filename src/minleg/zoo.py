@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets
+from . import MinlegError, jets
 from .geometry import ImmersionChart, Interval
 
 TWO_PI = 2.0 * math.pi
@@ -223,7 +223,9 @@ def flat_legendrian_torus() -> ZooEntry:
 # ---- registry ---------------------------------------------------------------
 
 
-class UnknownExampleError(ValueError):
+class UnknownExampleError(MinlegError, ValueError):
+    exit_code = 2
+
     def __init__(self, name: str):
         self.available = sorted(BUILDERS)
         super().__init__(f"unknown example {name!r}; available: {', '.join(self.available)}")

@@ -1,12 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 
-from minleg import cli
+from minleg import MinlegError, NumericalFailure, cli
 from minleg.cli import main
 from minleg.geometry import DegeneratePointError, NonPSDError
-from minleg.lu_inequality import load_family, lu_check
+from minleg.lu_inequality import MAX_DIM, FamilyValidationError, load_family, lu_check
 from minleg.symmat import JacobiConvergenceError
+from minleg.verify import ScanResult
+from minleg.zoo import UnknownExampleError
 
 
 def test_zoo_list(capsys):
@@ -63,6 +66,33 @@ def test_verify_tolerance_failure_exit(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 1
     assert doc["pass"] is False
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tol-alg", "-1"), ("--tol-geom", "nan"), ("--tol-curv", "inf"),
+])
+def test_verify_rejects_bad_tolerance(monkeypatch, capsys, flag, value):
+    # a usage error before any sweep, never a false verification failure
+    monkeypatch.setattr(cli, "verify_chart", None)
+    code = main(["verify", "--example", "flat-torus", "--grid", "4", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: tolerance ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["integral", "--example", "flat-torus", "--grid", "4"],
+    ["scan", "--example", "flat-torus", "--grid", "4"],
+])
+def test_nonfinite_output_is_numerical_failure(monkeypatch, capsys, argv):
+    nan = float("nan")
+    monkeypatch.setattr(cli, "integral_p1", lambda *a, **k: nan)
+    monkeypatch.setattr(cli, "pinching_scan", lambda *a, **k: ScanResult(
+        "pinch", np.zeros((1, 2)), np.array([nan]), nan, nan))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.endswith("error: numerical failure: reports must not contain NaN or infinity\n")
 
 
 def test_unknown_example(capsys):
@@ -141,7 +171,7 @@ def test_lu_check_strict_slack(tmp_path, capsys):
     capsys.readouterr()
     # scale the document by hand: lenient loading renormalizes it
     doc = json.loads(fam_path.read_text())
-    doc["mats"] = [[f"{3.0 * float(x):.17g}" for x in mat] for mat in doc["mats"]]
+    doc["mats"] = [[3.0 * x for x in mat] for mat in doc["mats"]]
     fam_path.write_text(json.dumps(doc))
     code = main(["lu", "check", "--file", str(fam_path)])
     out = json.loads(capsys.readouterr().out)
@@ -197,12 +227,60 @@ def test_numerical_failure_exit(monkeypatch, capsys, exc, driver, argv):
     assert captured.err == f"error: numerical failure: {exc}\n"
 
 
+EXIT_CODES = [
+    (MinlegError("bare"), 2),
+    (FamilyValidationError("pairwise orthogonality violated"), 1),
+    (UnknownExampleError("moebius"), 2),
+    (NumericalFailure("reports must not contain NaN or infinity"), 3),
+    (DegeneratePointError("metric not positive definite at u = [0.0, 1.0]"), 3),
+    (NonPSDError("fundamental matrix has eigenvalue -1.000e-03 < -1e-10"), 3),
+    (JacobiConvergenceError("Jacobi sweeps did not converge within 100 sweeps"), 3),
+    (ValueError("need at least 2 points per dimension"), 2),
+    (json.JSONDecodeError("Expecting value", "x", 0), 2),
+    (OSError("[Errno 21] Is a directory: 'out'"), 2),
+]
+
+
+def _subclasses(cls):
+    return {cls}.union(*(_subclasses(sub) for sub in cls.__subclasses__()))
+
+
+def test_exit_code_table_covers_every_error_class():
+    listed = {type(exc) for exc, _ in EXIT_CODES}
+    assert _subclasses(MinlegError) <= listed
+    for exc, code in EXIT_CODES:
+        assert getattr(exc, "exit_code", 2) == code
+
+
+@pytest.mark.parametrize("exc, code", EXIT_CODES, ids=[type(exc).__name__ for exc, _ in EXIT_CODES])
+def test_exit_code_table(monkeypatch, capsys, exc, code):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "verify_chart", fail)
+    assert main(["verify", "--example", "flat-torus", "--grid", "4"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    prefix = "numerical failure: " if code == 3 else ""
+    assert captured.err == f"error: {prefix}{exc}\n"
+
+
 def test_lu_check_malformed(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("not json at all")
     code = main(["lu", "check", "--file", str(bad)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_lu_check_deeply_nested(tmp_path, capsys):
+    # nesting beyond the parser's recursion limit is unparsable text, a usage error
+    bad = tmp_path / "nested.json"
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    code = main(["lu", "check", "--file", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: family document nests too deeply to parse\n"
 
 
 def test_lu_check_invalid_family(tmp_path, capsys):
@@ -232,6 +310,10 @@ def test_lu_check_invalid_family(tmp_path, capsys):
     ('{"n": 2, "mats": [[1, 0, 0, 0], [0, 9e153, 9e153, 0]]}', "overflow"),
     # a tail that overflows once divided by a tiny ||A_1||
     ('{"n": 2, "mats": [[1e-300, 0, 0, 0], [0, 1e10, 1e10, 0]]}', "finite"),
+    # entries must be JSON numbers, and an integer beyond double range is infinite
+    ('{"n": 2, "mats": [["1", 0, 0, -1]]}', "'mats'"),
+    ('{"n": 1, "mats": [[true]]}', "'mats'"),
+    pytest.param('{"n": 1, "mats": [[1' + "0" * 400 + ']]}', "finite", id="int-beyond-double"),
 ])
 def test_lu_check_malformed_family_document(tmp_path, capsys, recwarn, doc, field):
     path = tmp_path / "family.json"
@@ -267,6 +349,20 @@ def test_lu_check_entries_near_largest_double(tmp_path, capsys, recwarn):
     doc = json.loads(captured.out)
     assert doc["lhs"] == doc["rhs"] == 0.0 and doc["is_equality"] is True
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["lu", "extremal", "--n", str(MAX_DIM + 1), "--k", "1"],
+    ["lu", "extremal", "--n", "100000", "--k", "1"],
+    ["lu", "search", "--n", str(MAX_DIM + 1), "--profile", "1"],
+    ["lu", "search", "--n", "1000000", "--profile", "1"],
+])
+def test_lu_dimension_cap(capsys, argv):
+    # rejected before any (n, n, n) stack is allocated
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: n={argv[3]} exceeds MAX_DIM={MAX_DIM}\n"
 
 
 def test_lu_extremal_bad_k(capsys):

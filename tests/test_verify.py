@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from minleg import verify, zoo
+from minleg import NumericalFailure, verify, zoo
 from minleg.geometry import (
     ImmersionChart,
     Interval,
@@ -30,17 +30,19 @@ def test_gridspec_resolve():
     assert GridSpec(points_per_dim=(4, 6)).resolve(2) == (4, 6)
     # 24^3 = 13824 exceeds the cap, shrink to 21^3 = 9261
     assert GridSpec(points_per_dim=24).resolve(3) == (21, 21, 21)
-    assert math.prod(GridSpec(points_per_dim=100, cap=10_000).resolve(4)) <= 10_000
+    assert math.prod(GridSpec(points_per_dim=100).resolve(4)) <= verify.GRID_CAP == 10_000
 
 
-def test_gridspec_validation():
+def test_gridspec_validation(monkeypatch):
     with pytest.raises(ValueError):
         GridSpec(points_per_dim=(8, 8)).resolve(3)
     with pytest.raises(ValueError):
         GridSpec(points_per_dim=1).resolve(2)
+    monkeypatch.setattr(verify, "GRID_CAP", 7)
     with pytest.raises(ValueError):
-        GridSpec(points_per_dim=16, cap=7).resolve(3)
-    assert GridSpec(points_per_dim=16, cap=8).resolve(3) == (2, 2, 2)
+        GridSpec(points_per_dim=16).resolve(3)
+    monkeypatch.setattr(verify, "GRID_CAP", 8)
+    assert GridSpec(points_per_dim=16).resolve(3) == (2, 2, 2)
 
 
 def test_grid_points_offset_measure():
@@ -51,35 +53,6 @@ def test_grid_points_offset_measure():
     assert abs(wts.sum() - measure) < 1e-12 * measure
     for j, iv in enumerate(chart.domain):
         assert pts[:, j].min() > iv.lo and pts[:, j].max() < iv.hi
-
-
-def test_grid_points_endpoint_rules():
-    # without the offset, periodic axes drop the duplicate endpoint and
-    # non-periodic axes get trapezoid end weights
-    chart = zoo.geodesic_sphere(2).chart
-    pts, wts = grid_points(chart, GridSpec(points_per_dim=5, offset=False))
-    polar, azimuth = chart.domain
-    assert not polar.periodic and azimuth.periodic
-    assert pts[:, 0].min() == polar.lo and pts[:, 0].max() == polar.hi
-    assert pts[:, 1].max() < azimuth.hi
-    measure = polar.span * azimuth.span
-    assert abs(wts.sum() - measure) < 1e-12 * measure
-
-
-def test_grid_jitter():
-    chart = zoo.flat_legendrian_torus().chart
-    a, _ = grid_points(chart, GridSpec(points_per_dim=6, jitter=True, seed=3))
-    b, _ = grid_points(chart, GridSpec(points_per_dim=6, jitter=True, seed=3))
-    c, _ = grid_points(chart, GridSpec(points_per_dim=6, jitter=True, seed=4))
-    base, _ = grid_points(chart, GridSpec(points_per_dim=6))
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-    assert not np.array_equal(a, base)
-    # jitter is under half a cell, so points stay inside the domain
-    for j, iv in enumerate(chart.domain):
-        assert a[:, j].min() > iv.lo and a[:, j].max() < iv.hi
-    with pytest.raises(ValueError):
-        grid_points(chart, GridSpec(points_per_dim=6, offset=False, jitter=True))
 
 
 def test_sample_points():
@@ -175,9 +148,9 @@ def test_soft_check_does_not_fail_report():
 
 
 def test_render_rejects_nonfinite():
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalFailure):
         verify._fmt_float(float("nan"))
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalFailure):
         verify._fmt_float(float("inf"))
     with pytest.raises(TypeError):
         verify._render(object())
@@ -202,7 +175,8 @@ def test_integral_p1_flat_examples():
     assert abs(integral_p1(zoo.calabi_torus(3).chart, GridSpec(points_per_dim=8))) <= 1e-10
 
 
-def test_integral_p1_equivariant():
+def test_integral_p1_equivariant(monkeypatch):
+    monkeypatch.setattr(verify, "GRID_CAP", 40_000)
     chart = zoo.equivariant_sphere3().chart
     spec = GridSpec(points_per_dim=8)
     p1 = integral_p1(chart, spec)
@@ -212,19 +186,20 @@ def test_integral_p1_equivariant():
     assert abs(ratio + 32.0 / 3.0) <= 1e-8
     d1 = abs(integral_p1(chart, GridSpec(points_per_dim=16)) - p1)
     d2 = abs(
-        integral_p1(chart, GridSpec(points_per_dim=32, cap=40_000))
+        integral_p1(chart, GridSpec(points_per_dim=32))
         - integral_p1(chart, GridSpec(points_per_dim=16))
     )
     assert d2 < 0.5 * d1  # second-order midpoint convergence
 
 
-def test_chart_volume():
+def test_chart_volume(monkeypatch):
+    monkeypatch.setattr(verify, "GRID_CAP", 40_000)
     ft = zoo.flat_legendrian_torus().chart
     exact = 4.0 * math.pi ** 2 / math.sqrt(3.0)
     assert abs(chart_volume(ft) - exact) <= 1e-12 * exact
     sph = zoo.geodesic_sphere(3).chart
     errs = [
-        abs(chart_volume(sph, GridSpec(points_per_dim=c, cap=40_000)) - 2.0 * math.pi ** 2)
+        abs(chart_volume(sph, GridSpec(points_per_dim=c)) - 2.0 * math.pi ** 2)
         for c in (8, 16, 32)
     ]
     assert errs[1] < 0.3 * errs[0] and errs[2] < 0.3 * errs[1]

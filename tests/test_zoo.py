@@ -12,7 +12,7 @@ from minleg.verify import GridSpec, _sweep, grid_points, sample_points
 
 
 def _sweep_stats(entry, grid=None):
-    """Residual and value extremes over the default offset grid."""
+    """Residual and value extremes over the default midpoint grid."""
     chart = entry.chart
     pts, _ = grid_points(chart, grid or GridSpec())
     out = {
@@ -35,7 +35,7 @@ def _sweep_stats(entry, grid=None):
 
 def test_zoo_default_grid_residuals():
     # every chart: legendrian and minimality residuals on the default
-    # 16^n offset grid (capped at 1e4 points), plus the published values
+    # 16^n midpoint grid (capped at 1e4 points), plus the published values
     for entry in zoo.default_entries():
         stats = _sweep_stats(entry)
         assert stats["leg"] <= 1e-9, entry.name
