@@ -101,20 +101,40 @@ class ImmersionChart:
         return comps
 
     def jet_eval(self, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(F, dF, d2F) with shapes (2n+2,), (2n+2, n), (2n+2, n, n); points u
-        of any batch shape B + (n,) add the leading axes B to each, with the
-        same bits as the flattened (prod(B), n) call."""
-        u = np.asarray(u, dtype=float)
-        comps = self._components(Jet.variables(u))
-        axis = u.ndim - 1
-        return tuple(_interleave(np.stack([getattr(c, part) for c in comps], axis=axis), axis)
-                     for part in ("val", "grad", "hess"))
+        """(F, dF, d2F) with shapes B + (2n+2,), B + (2n+2, n), B + (2n+2, n, n).
 
-def _interleave(comps: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Stack complex components (..., m, ...) into reals (..., 2m, ...)."""
-    comps = np.asarray(comps, dtype=complex)
-    pairs = np.stack([comps.real, comps.imag], axis=axis + 1)
-    return pairs.reshape(comps.shape[:axis] + (-1,) + comps.shape[axis + 1:])
+        u is a point stack, shape B + (n,) (B = () for one point), or an open
+        mesh: a tuple of n coordinate arrays, as np.ix_ builds them, that
+        broadcast together to B.  A point stack runs as the trivial mesh of
+        its own columns.  On a mesh, each factor of a component is computed
+        on the axes it depends on, not on the whole grid.  Every point has
+        the same bits in any batch or mesh.  Component k fills real rows 2k
+        (real part) and 2k + 1 (imaginary part).
+        """
+        coords = Jet.variables(u)
+        comps = self._components(coords)
+        batch = np.broadcast_shapes(*(x.val.shape for x in coords))
+        rows = 2 * len(comps)
+        out = tuple(np.empty(batch + (rows,) + (len(coords),) * order) for order in range(3))
+        for order, (arr, part) in enumerate(zip(out, ("val", "grad", "hess"))):
+            tail = (slice(None),) * order
+            for k, c in enumerate(comps):
+                z = getattr(c, part)
+                arr[(..., 2 * k) + tail] = z.real
+                arr[(..., 2 * k + 1) + tail] = z.imag if np.iscomplexobj(z) else 0.0
+        return out
+
+
+def evaluate_points(chart: ImmersionChart, u) -> tuple[np.ndarray, ...]:
+    """(points, F, dF, d2F) at u, as chart.jet_eval gives them.  An open mesh
+    comes back flattened in C order: the points as a stack (P, n), and one
+    batch axis of length P on each jet array."""
+    f, jac, hess = chart.jet_eval(u)
+    if not isinstance(u, tuple):
+        return np.asarray(u, dtype=float), f, jac, hess
+    points = np.stack([x.ravel() for x in np.broadcast_arrays(*u)], axis=-1)
+    lead = f.ndim - 1
+    return (points,) + tuple(a.reshape((-1,) + a.shape[lead:]) for a in (f, jac, hess))
 
 
 def apply_J(v) -> np.ndarray:
@@ -299,8 +319,9 @@ class PointData:
 
 
 def point_data(chart: ImmersionChart, u) -> PointData:
-    u = np.asarray(u, dtype=float)
-    f, jac, hess = chart.jet_eval(u)
+    """PointData at a point stack u, shape B + (n,), or at the points of an
+    open mesh, flattened in C order to one batch axis."""
+    u, f, jac, hess = evaluate_points(chart, u)
     frame = _frame_from(u, f, jac)
     sigma = _sigma_from(frame, hess)
     smatrix = fundamental_matrix(sigma)

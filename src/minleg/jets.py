@@ -7,8 +7,15 @@ operations comes with first and second partials that are analytic: exact up
 to rounding, with no truncation error.
 
 A jet may carry a batch of points at once (vector-mode propagation): ``val``
-has batch shape B, ``grad`` B + (d,) and ``hess`` B + (d, d), and every
-operation acts pointwise along B; a single point is the case B = ().
+has batch shape B, ``grad`` and ``hess`` shapes that broadcast against
+B + (d,) and B + (d, d), and every operation acts pointwise along B; a single
+point is the case B = ().  Operands broadcast as numpy arrays do, so on an
+open mesh (one coordinate array per axis, as ``np.ix_`` builds them) a
+function of one coordinate is computed along that coordinate's axis only,
+and the product grid is formed by the first operation that mixes axes
+(Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 3 and 13).
+Broadcasting changes which points an operation computes, never the bits of
+any one of them.
 
 Values may be real or complex.  Derivatives are always taken with respect to
 real coordinates, so conjugation acts coefficient-wise and is a legal jet
@@ -33,14 +40,25 @@ class Jet:
 
     @staticmethod
     def variables(u):
-        """Jets for the coordinate functions at the point u, shape (d,), or at
-        each point of a batch u, shape B + (d,)."""
-        u = np.asarray(u, dtype=float)
-        batch, d = u.shape[:-1], u.shape[-1]
-        eye = np.eye(d)
-        zero = np.zeros(batch + (d, d))
-        return [Jet(u[..., i].copy(), np.broadcast_to(eye[i], batch + (d,)), zero)
-                for i in range(d)]
+        """Jets for the d coordinate functions.
+
+        u is a point, shape (d,), a point stack, shape B + (d,), or an open
+        mesh: a tuple of d coordinate arrays that broadcast together to B.  A
+        point stack is the trivial mesh of its own columns.  Each jet keeps
+        the shape of its own coordinate array; its constant gradient and zero
+        Hessian have length-1 batch axes.
+        """
+        if not isinstance(u, tuple):
+            u = np.asarray(u, dtype=float)
+            u = tuple(np.ascontiguousarray(np.moveaxis(u, -1, 0)))
+        d = len(u)
+        eye, zero = np.eye(d), np.zeros((d, d))
+        jets = []
+        for i, x in enumerate(u):
+            x = np.asarray(x, dtype=float)
+            ones = (1,) * x.ndim
+            jets.append(Jet(x, np.broadcast_to(eye[i], ones + (d,)), np.broadcast_to(zero, ones + (d, d))))
+        return jets
 
     # ---- ring operations ------------------------------------------------
 
@@ -62,14 +80,18 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            cross = self.grad[..., :, None] * other.grad[..., None, :]
             sv, ov = self.val[..., None], other.val[..., None]
-            return Jet(
-                self.val * other.val,
-                self.grad * ov + sv * other.grad,
-                self.hess * ov[..., None] + sv[..., None] * other.hess
-                + cross + cross.swapaxes(-1, -2),
-            )
+            grad = _empty(self.grad, ov, sv, other.grad)
+            np.multiply(self.grad, ov, out=grad)
+            grad += sv * other.grad
+            cross = self.grad[..., :, None] * other.grad[..., None, :]
+            sv, ov = sv[..., None], ov[..., None]
+            hess = _empty(self.hess, ov, sv, other.hess, cross)
+            np.multiply(self.hess, ov, out=hess)
+            hess += sv * other.hess
+            hess += cross
+            hess += cross.swapaxes(-1, -2)
+            return Jet(self.val * other.val, grad, hess)
         return Jet(self.val * other, self.grad * other, self.hess * other)
 
     __rmul__ = __mul__
@@ -91,10 +113,21 @@ class Jet:
         return Jet(np.real(self.val), np.real(self.grad), np.real(self.hess))
 
 
+def _empty(*terms):
+    """An uninitialised array of the broadcast shape and common dtype of terms,
+    to sum them into in place, left to right."""
+    return np.empty(np.broadcast_shapes(*(t.shape for t in terms)), np.result_type(*terms))
+
+
 def _chain(x, f0, f1, f2):
     """Compose a scalar function with a jet given f(x), f'(x), f''(x)."""
     f1, f2 = f1[..., None], f2[..., None, None]
-    return Jet(f0, f1 * x.grad, f1[..., None] * x.hess + f2 * (x.grad[..., :, None] * x.grad[..., None, :]))
+    f1h = f1[..., None]
+    cross = x.grad[..., :, None] * x.grad[..., None, :]
+    hess = _empty(f1h, x.hess, f2, cross)
+    np.multiply(f1h, x.hess, out=hess)
+    hess += f2 * cross
+    return Jet(f0, f1 * x.grad, hess)
 
 
 def sin(x):

@@ -153,6 +153,11 @@ def canonical_extremal(n: int, k: int, mu: float = 1.0) -> MatrixFamily:
         raise ValueError(f"n={n} exceeds MAX_DIM={MAX_DIM}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
+    # the squared norms MatrixFamily will check: 1, then 2 mu^2 k times, then zeros
+    with np.errstate(over="ignore"):
+        bound = _bound(np.array([1.0] + [2.0 * mu * mu] * k + [0.0] * (n - k - 1)))
+    if not (math.isfinite(mu) and math.isfinite(bound)):
+        raise ValueError(f"mu={mu!r} must be finite, with squared norms 2 mu^2 and their bound finite")
     lam = 1.0 / math.sqrt(k * (k + 1.0))
     mats = np.zeros((n, n, n))
     diag = np.zeros(n)
@@ -325,6 +330,8 @@ def extremal_search(
         raise ValueError("norm profile must be descending")
     if restarts < 1:
         raise ValueError("restarts must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got seed={seed}")
     norms = np.concatenate([[1.0], profile])
     with np.errstate(over="ignore"):
         if not math.isfinite(_bound(norms * norms)):
@@ -382,6 +389,15 @@ def family_to_text(fam: MatrixFamily) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _json_int(text: str) -> int | float:
+    """A JSON integer.  int() refuses one of more than 4300 digits; any such
+    number is beyond double range and MAX_DIM, so it reads as a signed infinity."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def family_from_text(text: str, strict: bool = True) -> MatrixFamily:
     """Parse a family document.
 
@@ -391,14 +407,16 @@ def family_from_text(text: str, strict: bool = True) -> MatrixFamily:
     with unnormalized A_1 or unsorted tails.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_json_int)
     except RecursionError:
         raise ValueError("family document nests too deeply to parse") from None
     if not isinstance(doc, dict) or "n" not in doc or "mats" not in doc:
         raise FamilyValidationError("family document must be a JSON object with fields 'n' and 'mats'")
     n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not (isinstance(n, int) or n == math.inf) or isinstance(n, bool) or n < 1:
         raise FamilyValidationError("field 'n' must be a positive integer")
+    if n > MAX_DIM:
+        raise FamilyValidationError(f"field 'n' exceeds MAX_DIM={MAX_DIM}")
     try:
         # JSON numbers only: a string, boolean or list entry is rejected
         if any(type(x) not in (int, float) for flat in doc["mats"] for x in flat):

@@ -30,6 +30,7 @@ import numpy as np
 from . import NumericalFailure, __version__
 from .geometry import (
     ImmersionChart,
+    evaluate_points,
     gauss_rank,
     induced_metric,
     legendrian_residual,
@@ -42,10 +43,13 @@ from .geometry import (
 from .zoo import ZooEntry
 
 # d2F entries per batched evaluation.  A batch of B points holds B (2n+2) n^2
-# of them, so low-dimensional charts get larger batches, and n >= 5 stays at
-# the floor of SWEEP_MIN_BATCH points.  Every point is computed independently
-# of its batch, so the batch size bounds memory and never changes results.
-SWEEP_ENTRIES = 2**15
+# of them, so low-dimensional charts get larger batches, and n >= 7 stays at
+# the floor of SWEEP_MIN_BATCH points.  integral, scan and chart_volume cut the
+# grid into C-order boxes of at most that many points, each evaluated as an
+# open mesh; verify_chart keeps one flat pass over its grid rows and sample
+# points.  Every point is computed independently of its batch or box, so the
+# size bounds memory and never changes results.
+SWEEP_ENTRIES = 2**16
 SWEEP_MIN_BATCH = 128
 SAMPLE_MARGIN = 0.05
 GRID_CAP = 10_000
@@ -75,6 +79,10 @@ class GridSpec:
     points_per_dim: int | tuple[int, ...] = 16
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got seed={self.seed}")
+
     def resolve(self, dim: int) -> tuple[int, ...]:
         if dim >= GRID_CAP.bit_length():  # 2**dim > GRID_CAP, without forming either
             raise ValueError(f"cap {GRID_CAP} cannot hold 2 points per dimension")
@@ -102,15 +110,21 @@ class GridSpec:
         }
 
 
-def grid_points(chart: ImmersionChart, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(points, weights): the product of the axes' midpoint rules, flattened
-    in C order.  Every point carries the cell volume as its weight."""
+def grid_axes(chart: ImmersionChart, spec: GridSpec) -> tuple[list[np.ndarray], float]:
+    """(axes, cell): the midpoint nodes of each axis, and the cell volume."""
     counts = spec.resolve(chart.dim)
     steps = [iv.span / c for iv, c in zip(chart.domain, counts)]
     axes = [iv.lo + (np.arange(c) + 0.5) * h for iv, c, h in zip(chart.domain, counts, steps)]
+    return axes, math.prod(steps)
+
+
+def grid_points(chart: ImmersionChart, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(points, weights): the product of the axes' midpoint rules, flattened
+    in C order.  Every point carries the cell volume as its weight."""
+    axes, cell = grid_axes(chart, spec)
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel(order="C") for m in mesh], axis=1)
-    return pts, np.full(pts.shape[0], math.prod(steps))
+    return pts, np.full(pts.shape[0], cell)
 
 
 def sample_points(chart: ImmersionChart, count: int, seed: int) -> np.ndarray:
@@ -127,19 +141,43 @@ def sample_points(chart: ImmersionChart, count: int, seed: int) -> np.ndarray:
 # ---- grid sweep --------------------------------------------------------------
 
 
+def _batch_size(n: int) -> int:
+    """max(SWEEP_MIN_BATCH, SWEEP_ENTRIES // ((2n+2) n^2)) points."""
+    return max(SWEEP_MIN_BATCH, SWEEP_ENTRIES // ((2 * n + 2) * n * n))
+
+
 def _batches(pts: np.ndarray) -> list[np.ndarray]:
-    """pts split in grid order into equal batches of at most
-    max(SWEEP_MIN_BATCH, SWEEP_ENTRIES // ((2n+2) n^2)) points."""
-    n = pts.shape[1]
-    size = max(SWEEP_MIN_BATCH, SWEEP_ENTRIES // ((2 * n + 2) * n * n))
-    return np.array_split(pts, -(-pts.shape[0] // size))
+    """pts split in order into equal batches of at most _batch_size(n) points."""
+    return np.array_split(pts, -(-pts.shape[0] // _batch_size(pts.shape[1])))
 
 
 def _sweep(chart: ImmersionChart, pts: np.ndarray):
-    """point_data of each batch of pts, in grid order; each driver keeps
-    only the columns it reads."""
+    """point_data of each batch of pts, in order; each driver keeps only the
+    columns it reads."""
     for batch in _batches(pts):
         yield point_data(chart, batch)
+
+
+def _boxes(counts: tuple[int, ...]) -> list[tuple[slice, ...]]:
+    """The grid with these counts cut into C-order boxes of at most
+    _batch_size(n) points.  A box fixes the indices of the leading axes, takes
+    a range along one axis k and the whole of the axes after k, so it is a
+    contiguous run of grid_points.  k is the first axis whose trailing axes
+    fit in one box; its ranges are equal to within one index."""
+    size = _batch_size(len(counts))
+    k = next(k for k in range(len(counts)) if math.prod(counts[k + 1:]) <= size)
+    pieces = -(-counts[k] // (size // math.prod(counts[k + 1:])))
+    cuts = [j * counts[k] // pieces for j in range(pieces + 1)]
+    rest = (slice(None),) * (len(counts) - k - 1)
+    return [tuple(slice(i, i + 1) for i in prefix) + (slice(lo, hi),) + rest
+            for prefix in np.ndindex(*counts[:k]) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _meshes(chart: ImmersionChart, spec: GridSpec):
+    """(open meshes of the grid's boxes in C order, cell volume)."""
+    axes, cell = grid_axes(chart, spec)
+    boxes = _boxes(tuple(len(a) for a in axes))
+    return [np.ix_(*(a[s] for a, s in zip(axes, box))) for box in boxes], cell
 
 
 def _concat(parts) -> list[np.ndarray]:
@@ -148,7 +186,7 @@ def _concat(parts) -> list[np.ndarray]:
 
 
 def _p1_and_volume(lambdas: np.ndarray, normB2: np.ndarray, sqrtdetg: np.ndarray,
-                   wts: np.ndarray) -> tuple[float, float]:
+                   wts: np.ndarray | float) -> tuple[float, float]:
     """(p1, volume): quadratures of lambda_1 (n + 1 - |B|^2 - lambda_2) dM and of dM."""
     n = lambdas.shape[1]
     integrand = lambdas[:, 0] * (n + 1.0 - normB2 - lambdas[:, 1])
@@ -330,17 +368,18 @@ def integral_p1(chart: ImmersionChart, grid: GridSpec = GridSpec()) -> float:
     """Quadrature of lambda_1 (n + 1 - |B|^2 - lambda_2) over the chart."""
     if not chart.closed:
         raise ValueError(f"chart {chart.name} does not cover a closed manifold")
-    pts, wts = grid_points(chart, grid)
-    columns = _concat((pd.spectrum.lambdas, pd.spectrum.normB2, pd.frame.vol)
-                      for pd in _sweep(chart, pts))
-    return _p1_and_volume(*columns, wts)[0]
+    meshes, cell = _meshes(chart, grid)
+    pds = (point_data(chart, mesh) for mesh in meshes)
+    columns = _concat((pd.spectrum.lambdas, pd.spectrum.normB2, pd.frame.vol) for pd in pds)
+    return _p1_and_volume(*columns, cell)[0]
 
 
 def chart_volume(chart: ImmersionChart, grid: GridSpec = GridSpec()) -> float:
     """Quadrature of sqrt(det G); doubling the grid should barely move it."""
-    pts, wts = grid_points(chart, grid)
-    vols = [induced_metric(batch, chart.jet_eval(batch)[1])[1] for batch in _batches(pts)]
-    return float(np.sum(np.concatenate(vols) * wts))
+    meshes, cell = _meshes(chart, grid)
+    vols = [induced_metric(pts, jac)[1]
+            for pts, _, jac, _ in (evaluate_points(chart, mesh) for mesh in meshes)]
+    return float(np.sum(np.concatenate(vols) * cell))
 
 
 QUANTITIES = ("pinch", "normB2", "R_plus_mu2")
@@ -373,7 +412,8 @@ def pinching_scan(chart: ImmersionChart, grid: GridSpec = GridSpec(),
         raise ValueError(f"unknown quantity {quantity!r}; use one of "
                          f"{', '.join(QUANTITIES)} or lambda_<k>")
     pts, _ = grid_points(chart, grid)
-    values = np.concatenate([column(pd.spectrum) for pd in _sweep(chart, pts)])
+    meshes, _ = _meshes(chart, grid)
+    values = np.concatenate([column(point_data(chart, mesh).spectrum) for mesh in meshes])
     if quantity == "R_plus_mu2":
         # pinch + (R + mu_2) = n^2 - 1 pointwise
         values = (n * n - 1.0) - values

@@ -6,7 +6,8 @@ import pytest
 from minleg import MinlegError, NumericalFailure, cli
 from minleg.cli import main
 from minleg.geometry import DegeneratePointError, NonPSDError
-from minleg.lu_inequality import MAX_DIM, FamilyValidationError, load_family, lu_check
+from minleg.lu_inequality import (MAX_DIM, FamilyValidationError, canonical_extremal, load_family,
+                                  lu_check)
 from minleg.symmat import JacobiConvergenceError
 from minleg.verify import ScanResult
 from minleg.zoo import UnknownExampleError
@@ -314,6 +315,12 @@ def test_lu_check_invalid_family(tmp_path, capsys):
     ('{"n": 2, "mats": [["1", 0, 0, -1]]}', "'mats'"),
     ('{"n": 1, "mats": [[true]]}', "'mats'"),
     pytest.param('{"n": 1, "mats": [[1' + "0" * 400 + ']]}', "finite", id="int-beyond-double"),
+    pytest.param('{"n": 1, "mats": [[1' + "0" * 5000 + ']]}', "finite", id="int-beyond-int-parse"),
+    # n beyond MAX_DIM is rejected before any message formats n * n
+    pytest.param('{"n": 1' + "0" * 400 + ', "mats": [[1]]}', "MAX_DIM", id="n-400-digits"),
+    pytest.param('{"n": 1' + "0" * 5000 + ', "mats": [[1]]}', "MAX_DIM", id="n-5000-digits"),
+    pytest.param('{"n": -1' + "0" * 5000 + ', "mats": [[1]]}', "'n'", id="n-negative-5000-digits"),
+    pytest.param('{"n": %d, "mats": [[1]]}' % (MAX_DIM + 1), "MAX_DIM", id="n-beyond-cap"),
 ])
 def test_lu_check_malformed_family_document(tmp_path, capsys, recwarn, doc, field):
     path = tmp_path / "family.json"
@@ -323,6 +330,7 @@ def test_lu_check_malformed_family_document(tmp_path, capsys, recwarn, doc, fiel
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err) < 120
     assert field in captured.err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
@@ -363,6 +371,39 @@ def test_lu_dimension_cap(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: n={argv[3]} exceeds MAX_DIM={MAX_DIM}\n"
+
+
+@pytest.mark.parametrize("mu", ["nan", "inf", "-inf", "1e200", "1e154", "-7e153"])
+def test_lu_extremal_nonfinite_mu(capsys, recwarn, mu):
+    # a non-finite mu, or one whose squared norms 2 mu^2 or their bound
+    # overflow, is a usage error and not a failed verification
+    code = main(["lu", "extremal", "--n", "3", "--k", "1", f"--mu={mu}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: mu=") and captured.err.count("\n") == 1
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_lu_extremal_mu_just_below_overflow():
+    # at k = 1 the bound is 4 mu^2, finite up to mu of about 6.7e153
+    fam = canonical_extremal(3, 1, 6.7e153)
+    assert np.isfinite(lu_check(fam).rhs)
+    with pytest.raises(ValueError, match="mu="):
+        canonical_extremal(3, 1, 6.8e153)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--example", "calabi", "--n", "2", "--grid", "2", "--seed", "-1"],
+    ["verify", "--example", "calabi", "--n", "2", "--grid", "2", "--seed", "-8"],
+    ["scan", "--example", "flat-torus", "--grid", "2", "--seed", "-3"],
+    ["integral", "--example", "flat-torus", "--grid", "2", "--seed", "-3"],
+    ["lu", "search", "--n", "3", "--profile", "1", "--restarts", "1", "--seed", "-1"],
+])
+def test_negative_seed_is_a_usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: seed must be non-negative, got seed={argv[-1]}\n"
 
 
 def test_lu_extremal_bad_k(capsys):

@@ -257,6 +257,8 @@ def test_search_validates_arguments():
         extremal_search(4, (1.0, 1.0, 1.0, 1.0))  # more than n-1
     with pytest.raises(ValueError):
         extremal_search(3, (1.0,), restarts=0)
+    with pytest.raises(ValueError, match="seed=-8"):
+        extremal_search(3, (1.0,), restarts=1, seed=-8)
     # a non-finite entry, or a bound ||A_2||^2 + sum ||A_a||^2 that overflows
     for profile in [(math.nan,), (math.inf,), (1.0, math.nan), (1e308, 1e308), (1e200,)]:
         with pytest.raises(ValueError, match="norm profile"):

@@ -38,6 +38,9 @@ def test_gridspec_validation(monkeypatch):
         GridSpec(points_per_dim=(8, 8)).resolve(3)
     with pytest.raises(ValueError):
         GridSpec(points_per_dim=1).resolve(2)
+    # verify draws its samples from seeds seed + 7 and seed + 101
+    with pytest.raises(ValueError, match="seed=-1"):
+        GridSpec(seed=-1)
     monkeypatch.setattr(verify, "GRID_CAP", 7)
     with pytest.raises(ValueError):
         GridSpec(points_per_dim=16).resolve(3)
@@ -239,36 +242,57 @@ def test_scan_csv_format():
 
 
 def test_sweep_chunk_size_invariant(monkeypatch):
-    # every grid point is computed independently of the batch it lands in, so
-    # report, integral and CSV bytes never depend on the batch size: 1-point
-    # batches, a split into batches of 6 and 7 points, and one whole-grid batch
-    entry = zoo.calabi_torus(3)
-    spec = GridSpec(points_per_dim=6)
-    dfe = (2 * 3 + 2) * 3 * 3  # d2F entries per point at n = 3
-    outputs = []
-    for floor, entries in ((1, 0), (1, 7 * dfe), (6 ** 3, 0)):
-        monkeypatch.setattr(verify, "SWEEP_MIN_BATCH", floor)
-        monkeypatch.setattr(verify, "SWEEP_ENTRIES", entries)
-        outputs.append((
-            verify_chart(entry, spec).to_text(include_timing=False),
-            integral_p1(entry.chart, spec).hex(),
-            scan_to_csv(pinching_scan(entry.chart, spec, quantity="lambda_2")),
-        ))
-    assert outputs[0] == outputs[1] == outputs[2]
+    # every grid point is computed independently of the batch or box it lands
+    # in, so report, integral and CSV bytes never depend on the batch size:
+    # 1-point batches, batches of 13 and of 50 points (boxes that take a range
+    # of one axis), and one whole-grid batch, on 2-, 3- and 4-D grids with a
+    # different count per axis
+    for entry in zoo.default_entries():
+        n = entry.chart.dim
+        spec = GridSpec(points_per_dim=(5, 4, 3, 2)[:n])
+        dfe = (2 * n + 2) * n * n  # d2F entries per point
+        outputs = []
+        for floor, entries in ((1, 0), (1, 13 * dfe), (1, 50 * dfe), (120, 0)):
+            monkeypatch.setattr(verify, "SWEEP_MIN_BATCH", floor)
+            monkeypatch.setattr(verify, "SWEEP_ENTRIES", entries)
+            outputs.append((
+                verify_chart(entry, spec).to_text(include_timing=False),
+                integral_p1(entry.chart, spec).hex(),
+                chart_volume(entry.chart, spec).hex(),
+                scan_to_csv(pinching_scan(entry.chart, spec, quantity="lambda_2")),
+            ))
+        assert all(out == outputs[0] for out in outputs[1:]), entry.name
 
 
 def test_sweep_batch_rule():
-    # n >= 5 keeps 128-point batches; n <= 4 batches hold at most
-    # SWEEP_ENTRIES d2F entries; batches are equal to within one point
+    # a batch holds at most SWEEP_ENTRIES d2F entries, (2n+2) n^2 per point,
+    # or the floor of 128 points, which n >= 7 keeps
     for n in range(2, 14):
+        size = verify._batch_size(n)
+        assert size == max(verify.SWEEP_MIN_BATCH, verify.SWEEP_ENTRIES // ((2 * n + 2) * n * n))
+        assert (size == 128) == (n >= 7), n
+        # verify's flat pass: equal batches, to within one point
         sizes = [len(b) for b in verify._batches(np.zeros((1000, n)))]
-        assert sum(sizes) == 1000 and max(sizes) - min(sizes) <= 1, n
-        if n >= 5:
-            assert len(sizes) == 8 and max(sizes) <= 128, n
-        else:
-            assert max(sizes) * (2 * n + 2) * n * n <= verify.SWEEP_ENTRIES, n
-            assert max(sizes) > 128, n
-    assert [len(b) for b in verify._batches(np.zeros((1000, 3)))] == [334, 333, 333]
+        assert sum(sizes) == 1000 and max(sizes) <= size and max(sizes) - min(sizes) <= 1, n
+    assert [len(b) for b in verify._batches(np.zeros((1000, 3)))] == [500, 500]
+
+
+@pytest.mark.parametrize("counts", [
+    *(GridSpec(points_per_dim=g).resolve(n) for n in range(2, 14) for g in (2, 5, 10, 100)),
+    (40, 2, 2), (2, 2, 300), (7, 3, 5), (2, 5000), (5000, 2), (3, 7, 2, 11), (2,) * 6 + (150,),
+], ids=lambda c: "x".join(map(str, c)))
+def test_sweep_boxes_tile_the_grid(counts):
+    # the boxes of integral, scan and chart_volume tile the grid in C order,
+    # each one a contiguous run of grid_points within the batch budget
+    size = verify._batch_size(len(counts))
+    flat = []
+    for box in verify._boxes(counts):
+        idx = np.ravel_multi_index(np.ix_(*(range(c)[s] for c, s in zip(counts, box))), counts)
+        assert 0 < idx.size <= size, box
+        flat.append(idx.ravel())
+    assert np.array_equal(np.concatenate(flat), np.arange(math.prod(counts)))
+    # the ranges along the cut axis are equal to within one index
+    assert len({idx.size for idx in flat}) <= 2
 
 
 def test_integral_and_scan_skip_residuals(monkeypatch):
@@ -316,3 +340,25 @@ def test_batched_point_data_matches_per_point():
                 sigma_symmetry_defect(one.sigma),
             )):
                 assert abs(got[k] - want) <= 1e-14, (entry.name, u)
+
+
+@pytest.mark.parametrize("entry", [*zoo.default_entries(), zoo.calabi_torus(5), zoo.calabi_torus(6),
+                                   zoo.geodesic_sphere(5), zoo.geodesic_sphere(6)],
+                         ids=lambda e: e.name)
+def test_jet_eval_open_mesh_matches_point_stack(entry):
+    # an open mesh gives every point the bits of the point-stack call, on the
+    # whole grid and on a box that fixes axis 0, takes a range of axis 1 and
+    # the whole of the rest
+    chart = entry.chart
+    spec = GridSpec(points_per_dim=3)
+    axes, _ = verify.grid_axes(chart, spec)
+    pts, _ = grid_points(chart, spec)
+    box = (slice(1, 2), slice(1, 3)) + (slice(None),) * (chart.dim - 2)
+    rows = np.arange(len(pts)).reshape([len(a) for a in axes])[box].ravel()
+    for mesh, stack in ((np.ix_(*axes), pts),
+                        (np.ix_(*(a[s] for a, s in zip(axes, box))), pts[rows])):
+        batch = np.broadcast_shapes(*(x.shape for x in mesh))
+        for got, want in zip(chart.jet_eval(mesh), chart.jet_eval(stack)):
+            assert got.shape == batch + want.shape[1:]
+            got = got.reshape(want.shape)
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
