@@ -1,5 +1,7 @@
 """minleg: numerical verification for minimal Legendrian submanifolds of spheres."""
 
+import random as _random
+
 __version__ = "0.1.0"
 
 
@@ -17,6 +19,14 @@ class NumericalFailure(MinlegError, RuntimeError):
 
     exit_code = 3
     prefix = "numerical failure: "
+
+
+def seeded_random(*key: int) -> _random.Random:
+    """The generator of every seeded draw in minleg: random.Random seeded with
+    the key's integers joined by commas, for example "7,3,20", a text that
+    random.Random hashes with SHA-512.  minleg draws only through random(),
+    whose stream Python keeps the same across versions for a given seed."""
+    return _random.Random(",".join(map(str, key)))
 
 
 from .geometry import (

@@ -20,11 +20,12 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from random import Random
 from typing import Sequence
 
 import numpy as np
 
-from . import MinlegError
+from . import MinlegError, seeded_random
 from .symmat import commutator, frobenius_inner, frobenius_norm, symmetrize
 
 log = logging.getLogger(__name__)
@@ -244,13 +245,17 @@ STALL_TOL = 1e-10
 
 
 def _search_single(
-    n: int, norms: np.ndarray, ceiling: float, rng: np.random.Generator
+    n: int, norms: np.ndarray, ceiling: float, rng: Random
 ) -> tuple[float, np.ndarray, str, int]:
-    """One restart: (value, family, exit reason, gradient steps)."""
+    """One restart: (value, family, exit reason, gradient steps).  The start
+    draws its m*n*n entries in C order, each 2 * random() - 1, that is
+    uniform on [-1, 1), then symmetrizes and retracts them."""
     m = norms.size
+    size = m * n * n
     mats = None
     for _ in range(64):
-        raw = rng.standard_normal((m, n, n))
+        raw = np.fromiter((2.0 * rng.random() - 1.0 for _ in range(size)), float, size)
+        raw = raw.reshape(m, n, n)
         raw = (raw + np.transpose(raw, (0, 2, 1))) / 2.0
         mats = _retract(raw, norms)
         if mats is not None:
@@ -305,8 +310,8 @@ def extremal_search(
     """Maximize Phi over families with ||A_1|| = 1 and ||A_a|| fixed.
 
     Projected gradient ascent with backtracking line search.  Restarts run
-    serially; each draws its start from a sub-seeded generator (seed,
-    restart index), so every restart is reproducible bit for bit on its own.
+    serially; each draws its start from seeded_random(seed, restart index),
+    so every restart is reproducible bit for bit on its own.
     Returns the best value and family over all restarts (ties resolved by
     lowest restart index) and the SearchStats of the run.  Logs the stats at
     INFO, with the distinct final values (9 significant digits) of the
@@ -346,8 +351,7 @@ def extremal_search(
     steps = 0
     levels = set()
     for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        value, mats, reason, taken = _search_single(n, norms, ceiling, rng)
+        value, mats, reason, taken = _search_single(n, norms, ceiling, seeded_random(seed, r))
         exits[reason] += 1
         steps += taken
         if reason != "ceiling":

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import NumericalFailure, __version__
+from . import NumericalFailure, __version__, seeded_random
 from .geometry import (
     ImmersionChart,
     evaluate_points,
@@ -128,13 +128,17 @@ def grid_points(chart: ImmersionChart, spec: GridSpec) -> tuple[np.ndarray, np.n
 
 
 def sample_points(chart: ImmersionChart, count: int, seed: int) -> np.ndarray:
-    """Seeded uniform interior samples; non-periodic axes keep a pole margin
-    of SAMPLE_MARGIN of their span at either end."""
-    rng = np.random.default_rng([seed, chart.dim, count])
+    """Seeded uniform interior samples, shape (count, dim); non-periodic axes
+    keep a pole margin of SAMPLE_MARGIN of their span at either end.  The
+    generator is seeded_random(seed, dim, count); it draws axis by axis in
+    domain order, count values lo + (hi - lo) * random() per axis."""
+    rng = seeded_random(seed, chart.dim, count)
     cols = []
     for iv in chart.domain:
         pad = 0.0 if iv.periodic else SAMPLE_MARGIN * iv.span
-        cols.append(rng.uniform(iv.lo + pad, iv.hi - pad, size=count))
+        lo, hi = iv.lo + pad, iv.hi - pad
+        cols.append(np.fromiter((lo + (hi - lo) * rng.random() for _ in range(count)),
+                                float, count))
     return np.stack(cols, axis=1)
 
 

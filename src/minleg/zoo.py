@@ -167,10 +167,11 @@ def equivariant_sphere3() -> ZooEntry:
         w = jets.sin(a) * jets.cis(c)
         zb = jets.conj(z)
         wb = jets.conj(w)
-        p1 = z * z * z + 3.0 * (z * (wb * wb))
-        p2 = ROOT3 * (z * z * w + w * (wb * wb) - 2.0 * (z * (zb * wb)))
-        p3 = ROOT3 * (z * (w * w) + z * (zb * zb) - 2.0 * (w * (zb * wb)))
-        p4 = w * w * w + 3.0 * (w * (zb * zb))
+        zz, ww, wbwb, zbzb, zbwb = z * z, w * w, wb * wb, zb * zb, zb * wb
+        p1 = zz * z + 3.0 * (z * wbwb)
+        p2 = ROOT3 * (zz * w + w * wbwb - 2.0 * (z * zbwb))
+        p3 = ROOT3 * (z * ww + z * zbzb - 2.0 * (w * zbwb))
+        p4 = ww * w + 3.0 * (w * zbzb)
         return [0.5 * p1, 0.5 * p2, 0.5 * p3, 0.5 * p4]
 
     domain = [

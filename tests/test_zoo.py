@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from minleg import zoo
+from minleg import jets, zoo
 from minleg.geometry import (
+    ImmersionChart,
     legendrian_residual,
     minimality_residual,
     point_data,
     scalar_curvature_intrinsic,
 )
-from minleg.verify import GridSpec, _sweep, grid_points, sample_points
+from minleg.verify import GridSpec, _sweep, grid_axes, grid_points, sample_points
 
 
 def _sweep_stats(entry, grid=None):
@@ -45,6 +46,31 @@ def test_zoo_default_grid_residuals():
         assert stats["lambdas"] <= entry.value_tol, entry.name
         assert stats["pinch"] <= entry.value_tol, entry.name
         assert stats["ranks"] == {entry.gauss_rank}, entry.name
+
+
+def _equivariant_sphere3_reference(coords):
+    # the formula before z*z, w*w, wb*wb, zb*zb and zb*wb were shared
+    a, b, c = coords
+    z = jets.cos(a) * jets.cis(b)
+    w = jets.sin(a) * jets.cis(c)
+    zb = jets.conj(z)
+    wb = jets.conj(w)
+    p1 = z * z * z + 3.0 * (z * (wb * wb))
+    p2 = zoo.ROOT3 * (z * z * w + w * (wb * wb) - 2.0 * (z * (zb * wb)))
+    p3 = zoo.ROOT3 * (z * (w * w) + z * (zb * zb) - 2.0 * (w * (zb * wb)))
+    p4 = w * w * w + 3.0 * (w * (zb * zb))
+    return [0.5 * p1, 0.5 * p2, 0.5 * p3, 0.5 * p4]
+
+
+def test_equivariant_sphere3_shared_products_keep_bits():
+    # the same expression trees: every jet channel matches the reference bit
+    # for bit, on an open mesh and on a point stack
+    chart = zoo.equivariant_sphere3().chart
+    ref = ImmersionChart("reference", 3, chart.domain, _equivariant_sphere3_reference, closed=True)
+    axes, _ = grid_axes(chart, GridSpec(points_per_dim=5))
+    for u in (np.ix_(*axes), sample_points(chart, 40, seed=6)):
+        for got, want in zip(chart.jet_eval(u), ref.jet_eval(u)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_geodesic_sphere_values():

@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Byte manifest of a fixed roster of minleg command lines.
+
+    python3 tools/bytecheck.py > manifest.txt
+
+Run it from the root of a source checkout; minleg is imported from ``src``.
+Every command line runs in this process through ``minleg.cli.main(argv)``.
+The manifest has one line per command: the exit code, the SHA-256 of its
+stdout, of its stderr and of each file it writes (``--out``, ``--csv``, or
+``-`` when it writes none), then the argv.  Written files live in a
+temporary directory that the argv names as ``{dir}``, so the manifests of
+two checkouts compare line by line with ``diff``.
+
+The roster:
+- ``verify --no-timing`` on every zoo entry at grids 4 and 8, seeds 0 and 7;
+- ``integral`` and ``scan --csv`` on every zoo entry at grid 6;
+- ``lu extremal`` (n, k) = (3, 1) and (4, 2) with ``--out``, and ``lu check``
+  on those files;
+- ``lu search --n 4 --profile 1,1,1 --restarts 48 --out`` at seeds 3 and 7.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FILE_FLAGS = ("--out", "--csv")
+
+
+# default_entries() of the zoo, as --example/--n; a fixed list, so that the
+# manifests of two checkouts stay line for line comparable
+EXAMPLES = (
+    ["--example", "geodesic-sphere", "--n", "3"],
+    ["--example", "calabi", "--n", "2"],
+    ["--example", "calabi", "--n", "3"],
+    ["--example", "calabi", "--n", "4"],
+    ["--example", "equivariant-s3"],
+    ["--example", "flat-torus"],
+)
+ROSTER = (
+    [["verify", *ex, "--grid", str(grid), "--seed", str(seed), "--no-timing"]
+     for ex in EXAMPLES for grid in (4, 8) for seed in (0, 7)]
+    + [line for i, ex in enumerate(EXAMPLES)
+       for line in (["integral", *ex, "--grid", "6"],
+                    ["scan", *ex, "--grid", "6", "--csv", f"{{dir}}/scan{i}.csv"])]
+    + [["lu", "extremal", "--n", str(n), "--k", str(k), "--out", f"{{dir}}/extremal-{n}-{k}.json"]
+       for n, k in ((3, 1), (4, 2))]
+    + [["lu", "check", "--file", f"{{dir}}/extremal-{n}-{k}.json"] for n, k in ((3, 1), (4, 2))]
+    + [["lu", "search", "--n", "4", "--profile", "1,1,1", "--restarts", "48",
+        "--seed", str(seed), "--out", f"{{dir}}/search-{seed}.json"] for seed in (3, 7)]
+)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def manifest(lines: list[list[str]]):
+    """Run each argv in order, {dir} standing for one temporary directory
+    shared by the roster, and yield its manifest line."""
+    from minleg.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for template in lines:
+            argv = [arg.replace("{dir}", tmp) for arg in template]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(argv)
+            files = []
+            for flag, path in zip(argv, argv[1:]):
+                if flag in FILE_FLAGS and not os.path.exists(path):
+                    files.append("missing")
+                elif flag in FILE_FLAGS:
+                    with open(path, "rb") as fh:
+                        files.append(_sha(fh.read()))
+            yield " ".join([str(rc), _sha(out.getvalue().encode()), _sha(err.getvalue().encode()),
+                            ",".join(files) or "-", *template])
+
+
+def main() -> int:
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    for line in manifest(ROSTER):
+        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
