@@ -43,13 +43,13 @@ from .geometry import (
 from .zoo import ZooEntry
 
 # d2F entries per batched evaluation.  A batch of B points holds B (2n+2) n^2
-# of them, so low-dimensional charts get larger batches, and n >= 7 stays at
+# of them, so low-dimensional charts get larger batches, and n >= 8 stays at
 # the floor of SWEEP_MIN_BATCH points.  integral, scan and chart_volume cut the
 # grid into C-order boxes of at most that many points, each evaluated as an
 # open mesh; verify_chart keeps one flat pass over its grid rows and sample
 # points.  Every point is computed independently of its batch or box, so the
 # size bounds memory and never changes results.
-SWEEP_ENTRIES = 2**16
+SWEEP_ENTRIES = 2**17
 SWEEP_MIN_BATCH = 128
 SAMPLE_MARGIN = 0.05
 GRID_CAP = 10_000
@@ -381,8 +381,7 @@ def integral_p1(chart: ImmersionChart, grid: GridSpec = GridSpec()) -> float:
 def chart_volume(chart: ImmersionChart, grid: GridSpec = GridSpec()) -> float:
     """Quadrature of sqrt(det G); doubling the grid should barely move it."""
     meshes, cell = _meshes(chart, grid)
-    vols = [induced_metric(pts, jac)[1]
-            for pts, _, jac, _ in (evaluate_points(chart, mesh) for mesh in meshes)]
+    vols = [induced_metric(mesh, evaluate_points(chart, mesh)[1])[1] for mesh in meshes]
     return float(np.sum(np.concatenate(vols) * cell))
 
 
@@ -425,8 +424,15 @@ def pinching_scan(chart: ImmersionChart, grid: GridSpec = GridSpec(),
 
 
 def scan_to_csv(scan: ScanResult) -> str:
+    """One row per point: its coordinates and the value, each at 17
+    significant digits.  A grid repeats each node along its axis, so every
+    distinct coordinate (by bits: -0.0 is not 0.0) is formatted once."""
     dim = scan.points.shape[1]
     header = ",".join([f"u{i + 1}" for i in range(dim)] + ["value"])
-    row = ",".join(["{:.17g}"] * (dim + 1)).format
-    rows = np.column_stack((scan.points, scan.values)).tolist()
-    return "\n".join([header] + [row(*r) for r in rows]) + "\n"
+    columns = []
+    for column in np.asarray(scan.points, dtype=float).T:
+        bits, inverse = np.unique(np.ascontiguousarray(column).view(np.uint64), return_inverse=True)
+        text = np.array([f"{x:.17g}" for x in bits.view(float).tolist()], dtype=object)
+        columns.append(text[inverse].tolist())
+    columns.append([f"{x:.17g}" for x in np.asarray(scan.values, dtype=float).tolist()])
+    return "\n".join([header] + [",".join(r) for r in zip(*columns)]) + "\n"

@@ -241,6 +241,37 @@ def test_scan_csv_format():
     assert text.endswith("\n")
 
 
+def _reference_scan_to_csv(scan):
+    """The earlier formatter: every number of every row formatted on its own."""
+    dim = scan.points.shape[1]
+    header = ",".join([f"u{i + 1}" for i in range(dim)] + ["value"])
+    row = ",".join(["{:.17g}"] * (dim + 1)).format
+    rows = np.column_stack((scan.points, scan.values)).tolist()
+    return "\n".join([header] + [row(*r) for r in rows]) + "\n"
+
+
+def test_scan_csv_matches_reference_formatter():
+    # each distinct coordinate is formatted once; the bytes are those of
+    # formatting every number: on the scans of every zoo entry, and on points
+    # off any grid with repeated coordinates, signed zeros and non-finite values
+    for entry in zoo.default_entries():
+        for quantity in ("pinch", "lambda_2"):
+            scan = pinching_scan(entry.chart, GridSpec(points_per_dim=(5, 3, 4, 2)[:entry.chart.dim]),
+                                 quantity=quantity)
+            assert scan_to_csv(scan) == _reference_scan_to_csv(scan), entry.name
+    rng = np.random.default_rng(5)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 0.1, 1e-300, -5e-324, 2.0 / 3.0, 1e300,
+                     np.pi, np.inf, -np.inf, np.nan])
+    points = rng.choice(pool, size=(60, 3))
+    points[:, 1] = rng.uniform(-1.0, 1.0, 60)
+    points[7] = points[8] = points[9]
+    values = rng.choice(pool, size=60)
+    scan = verify.ScanResult("pinch", points, values, 0.0, 0.0)
+    text = scan_to_csv(scan)
+    assert text == _reference_scan_to_csv(scan)
+    assert {"0", "-0"} <= set(text.replace("\n", ",").split(","))
+
+
 def test_sweep_chunk_size_invariant(monkeypatch):
     # every grid point is computed independently of the batch or box it lands
     # in, so report, integral and CSV bytes never depend on the batch size:
@@ -266,15 +297,17 @@ def test_sweep_chunk_size_invariant(monkeypatch):
 
 def test_sweep_batch_rule():
     # a batch holds at most SWEEP_ENTRIES d2F entries, (2n+2) n^2 per point,
-    # or the floor of 128 points, which n >= 7 keeps
+    # or the floor of 128 points, which n >= 8 keeps
+    assert [verify._batch_size(n) for n in range(2, 9)] == [5461, 1820, 819, 436, 260, 167, 128]
     for n in range(2, 14):
         size = verify._batch_size(n)
         assert size == max(verify.SWEEP_MIN_BATCH, verify.SWEEP_ENTRIES // ((2 * n + 2) * n * n))
-        assert (size == 128) == (n >= 7), n
+        assert (size == 128) == (n >= 8), n
         # verify's flat pass: equal batches, to within one point
         sizes = [len(b) for b in verify._batches(np.zeros((1000, n)))]
         assert sum(sizes) == 1000 and max(sizes) <= size and max(sizes) - min(sizes) <= 1, n
-    assert [len(b) for b in verify._batches(np.zeros((1000, 3)))] == [500, 500]
+    assert [len(b) for b in verify._batches(np.zeros((3000, 3)))] == [1500, 1500]
+    assert [len(b) for b in verify._batches(np.zeros((3641, 3)))] == [1214, 1214, 1213]
 
 
 @pytest.mark.parametrize("counts", [

@@ -16,7 +16,11 @@ The roster:
 - ``integral`` and ``scan --csv`` on every zoo entry at grid 6;
 - ``lu extremal`` (n, k) = (3, 1) and (4, 2) with ``--out``, and ``lu check``
   on those files;
-- ``lu search --n 4 --profile 1,1,1 --restarts 48 --out`` at seeds 3 and 7.
+- ``lu search --n 4 --profile 1,1,1 --restarts 48 --out`` at seeds 3 and 7;
+- the ``integral`` and ``scan --quantity pinch`` lines of the benchmark's
+  ``sweep`` workload (equivariant-s3 at grid 10, calabi n=4 at grid 5), and
+  ``integral --example calabi --n 4`` at the default grid, which spans many
+  sweep boxes.
 """
 
 from __future__ import annotations
@@ -53,6 +57,10 @@ ROSTER = (
     + [["lu", "check", "--file", f"{{dir}}/extremal-{n}-{k}.json"] for n, k in ((3, 1), (4, 2))]
     + [["lu", "search", "--n", "4", "--profile", "1,1,1", "--restarts", "48",
         "--seed", str(seed), "--out", f"{{dir}}/search-{seed}.json"] for seed in (3, 7)]
+    + [[cmd, *ex, "--grid", grid, "--seed", "7", *extra]
+       for ex, grid in ((["--example", "equivariant-s3"], "10"), (["--example", "calabi", "--n", "4"], "5"))
+       for cmd, extra in (("integral", ()), ("scan", ("--quantity", "pinch")))]
+    + [["integral", "--example", "calabi", "--n", "4"]]
 )
 
 
