@@ -126,27 +126,15 @@ class ImmersionChart:
 
 
 def evaluate_points(chart: ImmersionChart, u) -> tuple[np.ndarray, ...]:
-    """(F, dF, d2F) at u, as chart.jet_eval gives them.  On an open mesh each
-    jet array comes back flattened in C order to one batch axis of length P."""
+    """(points, F, dF, d2F) at u, as chart.jet_eval gives them.  An open mesh
+    comes back flattened in C order: the points as a stack (P, n), and one
+    batch axis of length P on each jet array."""
     f, jac, hess = chart.jet_eval(u)
     if not isinstance(u, tuple):
-        return f, jac, hess
+        return np.asarray(u, dtype=float), f, jac, hess
+    points = np.stack([x.ravel() for x in np.broadcast_arrays(*u)], axis=-1)
     lead = f.ndim - 1
-    return tuple(a.reshape((-1,) + a.shape[lead:]) for a in (f, jac, hess))
-
-
-def _first_point(u, bad) -> list[float]:
-    """Coordinates of the first point flagged by bad, in C order.  u is a point
-    stack, shape B + (n,), or an open mesh; bad has one entry per point (a
-    mesh's points flattened in C order).  Only error messages call this, so a
-    mesh is never flattened into a point stack on the way."""
-    i = np.flatnonzero(bad)[0]
-    if not isinstance(u, tuple):
-        u = np.asarray(u, dtype=float)
-        return u.reshape(-1, u.shape[-1])[i].tolist()
-    shape = np.broadcast_shapes(*(np.shape(x) for x in u))
-    index = np.unravel_index(i, shape)
-    return [float(np.broadcast_to(x, shape)[index]) for x in u]
+    return (points,) + tuple(a.reshape((-1,) + a.shape[lead:]) for a in (f, jac, hess))
 
 
 def apply_J(v) -> np.ndarray:
@@ -179,12 +167,11 @@ def _t(x):
 
 
 def induced_metric(u, jac) -> tuple[np.ndarray, np.ndarray]:
-    """(G, sqrt(det G)) of the coordinate tangents jac, shape B + (2n+2, n),
-    at u, a point stack or an open mesh (named in the error message only)."""
+    """(G, sqrt(det G)) of the coordinate tangents jac, shape B + (2n+2, n)."""
     metric = _t(jac) @ jac
     det = np.linalg.det(metric)
     if np.any(det <= 0.0):
-        raise DegeneratePointError(f"metric not positive definite at u = {_first_point(u, det <= 0.0)}")
+        raise DegeneratePointError(f"metric not positive definite at u = {u[det <= 0.0][0].tolist()}")
     return metric, np.sqrt(det)
 
 
@@ -206,7 +193,7 @@ def _frame_from(u, f, jac) -> PointFrame:
         nrm = np.linalg.norm(w, axis=-1)
         bad = nrm <= DEGENERACY_TOL * (1.0 + np.linalg.norm(v[..., i, :], axis=-1))
         if np.any(bad):
-            raise DegeneratePointError(f"coordinate tangents degenerate at u = {_first_point(u, bad)}")
+            raise DegeneratePointError(f"coordinate tangents degenerate at u = {u[bad][0].tolist()}")
         e[..., i, :] = w / nrm[..., None]
         coeff[..., i, :] = c / nrm[..., None]
     metric, vol = induced_metric(u, jac)
@@ -334,7 +321,7 @@ class PointData:
 def point_data(chart: ImmersionChart, u) -> PointData:
     """PointData at a point stack u, shape B + (n,), or at the points of an
     open mesh, flattened in C order to one batch axis."""
-    f, jac, hess = evaluate_points(chart, u)
+    u, f, jac, hess = evaluate_points(chart, u)
     frame = _frame_from(u, f, jac)
     sigma = _sigma_from(frame, hess)
     smatrix = fundamental_matrix(sigma)

@@ -73,9 +73,7 @@ class Jet:
         return Jet(-self.val, -self.grad, -self.hess)
 
     def __sub__(self, other):
-        if isinstance(other, Jet):
-            return Jet(_sub(self.val, other.val), _sub(self.grad, other.grad), _sub(self.hess, other.hess))
-        return Jet(_sub(self.val, other), self.grad, self.hess)
+        return self.__add__(-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -118,17 +116,7 @@ class Jet:
 def _empty(*terms):
     """An uninitialised array of the broadcast shape and common dtype of terms,
     to sum them into in place, left to right."""
-    return np.empty(np.broadcast(*terms).shape, np.result_type(*terms))
-
-
-def _sub(a, b):
-    """a + (-b) in one operation: IEEE defines a - b as a + (-b).  The one
-    exception is a complex a minus a real b, which numpy widens with an
-    imaginary +0 that keeps a -0 imaginary part of a where a + (-b) gives +0,
-    so that case keeps the two steps."""
-    if a.dtype.kind == "c" and not np.iscomplexobj(b):
-        return a + (-b)
-    return a - b
+    return np.empty(np.broadcast_shapes(*(t.shape for t in terms)), np.result_type(*terms))
 
 
 def _chain(x, f0, f1, f2):
@@ -143,13 +131,11 @@ def _chain(x, f0, f1, f2):
 
 
 def sin(x):
-    s = np.sin(x.val)
-    return _chain(x, s, np.cos(x.val), -s)
+    return _chain(x, np.sin(x.val), np.cos(x.val), -np.sin(x.val))
 
 
 def cos(x):
-    c = np.cos(x.val)
-    return _chain(x, c, -np.sin(x.val), -c)
+    return _chain(x, np.cos(x.val), -np.sin(x.val), -np.cos(x.val))
 
 
 def exp(x):

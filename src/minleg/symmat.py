@@ -95,9 +95,7 @@ def sym_eigen(a) -> EigenResult:
                 k = np.flatnonzero(active & (a[:, p, r] != 0.0))
                 if k.size == 0:
                     continue
-                # when every matrix rotates, rotate aq itself: no gather, no scatter
-                whole = k.size == len(aq)
-                m = aq if whole else aq[k]
+                m = aq[k]
                 tau = (m[:, r, r] - m[:, p, p]) / (2.0 * m[:, p, r])
                 t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
                 c = 1.0 / np.sqrt(1.0 + t * t)
@@ -111,8 +109,7 @@ def sym_eigen(a) -> EigenResult:
                 m[:, p, :] = c * row_p - s * row_r
                 m[:, r, :] = s * row_p + c * row_r
                 m[:, p, r] = m[:, r, p] = 0.0
-                if not whole:
-                    aq[k] = m
+                aq[k] = m
     else:
         raise JacobiConvergenceError(f"Jacobi sweeps did not converge within {MAX_SWEEPS} sweeps")
     values = np.diagonal(a, axis1=1, axis2=2)

@@ -381,7 +381,8 @@ def integral_p1(chart: ImmersionChart, grid: GridSpec = GridSpec()) -> float:
 def chart_volume(chart: ImmersionChart, grid: GridSpec = GridSpec()) -> float:
     """Quadrature of sqrt(det G); doubling the grid should barely move it."""
     meshes, cell = _meshes(chart, grid)
-    vols = [induced_metric(mesh, evaluate_points(chart, mesh)[1])[1] for mesh in meshes]
+    vols = [induced_metric(pts, jac)[1]
+            for pts, _, jac, _ in (evaluate_points(chart, mesh) for mesh in meshes)]
     return float(np.sum(np.concatenate(vols) * cell))
 
 

@@ -102,22 +102,6 @@ def test_frame_degenerate_pole():
         point_data(chart, np.array([0.0, 1.0, 1.0]))
 
 
-def test_degenerate_point_named_on_mesh():
-    # an open mesh names the first degenerate point in C order, as its
-    # flattened point stack does, signed zeros included
-    chart = zoo.geodesic_sphere(3).chart
-    axes = (np.array([0.5, 1.0, 0.0]), np.array([1.0, 2.0]), np.array([0.3, -0.0]))
-    mesh = np.ix_(*axes)
-    stack = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    jac = chart.jet_eval(stack)[1]
-    jac[7] = 0.0
-    for u in (mesh, stack):
-        with pytest.raises(DegeneratePointError, match=r"degenerate at u = \[0\.0, 1\.0, 0\.3\]$"):
-            point_data(chart, u)
-        with pytest.raises(DegeneratePointError, match=r"definite at u = \[1\.0, 2\.0, -0\.0\]$"):
-            induced_metric(u, jac)
-
-
 # ---- sigma ----------------------------------------------------------------------
 
 

@@ -1,8 +1,7 @@
 import numpy as np
 
-from minleg import jets, zoo
+from minleg import jets
 from minleg.jets import Jet
-from minleg.verify import GridSpec, grid_axes, sample_points
 
 
 def test_variables():
@@ -150,74 +149,3 @@ def test_against_central_differences():
                     func(u + ei + ej) - func(u + ei - ej) - func(u - ei + ej) + func(u - ei - ej)
                 ) / (4 * h2 * h2)
                 assert abs(f.hess[i, j] - fd2) < 1e-6
-
-
-# ---- the earlier formulas, kept as references -------------------------------
-
-
-def _reference_sin(x):
-    return jets._chain(x, np.sin(x.val), np.cos(x.val), -np.sin(x.val))
-
-
-def _reference_cos(x):
-    return jets._chain(x, np.cos(x.val), -np.sin(x.val), -np.cos(x.val))
-
-
-def _reference_sub(self, other):
-    return self.__add__(-other)
-
-
-def _bits(jet):
-    return tuple(np.ascontiguousarray(part).tobytes() for part in (jet.val, jet.grad, jet.hess))
-
-
-def _random_jets(rng, u):
-    """Real and complex jets with full gradients and Hessians at u, a point
-    stack or an open mesh; one of them carries signed zeros in every channel."""
-    x, y, z = Jet.variables(u)
-    real = jets.exp(0.3 * x) * y + z * z
-    cplx = jets.cis(x * y) * (1.5 + 0.5j * z) + 2.0j * real
-    zeros = Jet(*(_signed_zeros(rng, np.shape(part)) for part in (cplx.val, cplx.grad, cplx.hess)))
-    return [x, real, cplx, real * 1e-300, zeros, zeros.real_part(), real - 1.0j]
-
-
-def _signed_zeros(rng, shape):
-    """Complex zeros with random signs on both parts."""
-    out = np.empty(shape, complex)
-    out.real = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
-    out.imag = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
-    return out
-
-
-def test_sin_cos_sub_match_reference_formulas():
-    # sin and cos evaluate each of np.sin, np.cos once and negate; __sub__
-    # subtracts directly.  Every channel keeps its bits, signed zeros included,
-    # for real and complex jets, against jets and scalars, on point stacks and
-    # on open meshes
-    rng = np.random.default_rng(12)
-    stack = rng.uniform(-2.0, 2.0, (7, 3))
-    stack[0] = 0.0
-    mesh = np.ix_(rng.uniform(-2.0, 2.0, 4), np.array([-0.0, 0.0, 1.0]), rng.uniform(-2.0, 2.0, 2))
-    for u in (stack, mesh, stack[3]):
-        pool = _random_jets(rng, u)
-        for a in pool:
-            assert _bits(jets.sin(a)) == _bits(_reference_sin(a))
-            assert _bits(jets.cos(a)) == _bits(_reference_cos(a))
-            scalars = [0.0, -0.0, 2.5, complex(1.0, -0.0), complex(-0.0, -0.0)]
-            for b in pool + scalars + [np.full(np.shape(a.val), -0.0)]:
-                assert _bits(a - b) == _bits(_reference_sub(a, b))
-
-
-def test_zoo_jets_match_reference_formulas(monkeypatch):
-    # every chart of the zoo gives the bits of the reference formulas
-    charts = [entry.chart for entry in zoo.default_entries()]
-    inputs = [(np.ix_(*grid_axes(c, GridSpec(points_per_dim=4))[0]), sample_points(c, 9, seed=3))
-              for c in charts]
-    fast = [[c.jet_eval(u) for u in us] for c, us in zip(charts, inputs)]
-    monkeypatch.setattr(jets, "sin", _reference_sin)
-    monkeypatch.setattr(jets, "cos", _reference_cos)
-    monkeypatch.setattr(Jet, "__sub__", _reference_sub)
-    for c, us, got in zip(charts, inputs, fast):
-        for u, parts in zip(us, got):
-            for part, want in zip(parts, c.jet_eval(u)):
-                assert part.tobytes() == want.tobytes(), c.name
