@@ -66,8 +66,9 @@ def _cmd_verify(args) -> int:
 def _cmd_scan(args) -> int:
     entry, grid = _example(args)
     scan = pinching_scan(entry.chart, grid=grid, quantity=args.quantity)
+    summary = f"{scan.quantity}: min={_fmt_float(scan.vmin)} max={_fmt_float(scan.vmax)}"
     _write(scan_to_csv(scan), args.csv)
-    print(f"{scan.quantity}: min={_fmt_float(scan.vmin)} max={_fmt_float(scan.vmax)}", file=sys.stderr)
+    print(summary, file=sys.stderr)
     return 0
 
 

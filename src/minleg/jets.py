@@ -81,16 +81,10 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             sv, ov = self.val[..., None], other.val[..., None]
-            grad = _empty(self.grad, ov, sv, other.grad)
-            np.multiply(self.grad, ov, out=grad)
-            grad += sv * other.grad
+            grad = self.grad * ov + sv * other.grad
             cross = self.grad[..., :, None] * other.grad[..., None, :]
             sv, ov = sv[..., None], ov[..., None]
-            hess = _empty(self.hess, ov, sv, other.hess, cross)
-            np.multiply(self.hess, ov, out=hess)
-            hess += sv * other.hess
-            hess += cross
-            hess += cross.swapaxes(-1, -2)
+            hess = self.hess * ov + sv * other.hess + cross + cross.swapaxes(-1, -2)
             return Jet(self.val * other.val, grad, hess)
         return Jet(self.val * other, self.grad * other, self.hess * other)
 
@@ -113,21 +107,11 @@ class Jet:
         return Jet(np.real(self.val), np.real(self.grad), np.real(self.hess))
 
 
-def _empty(*terms):
-    """An uninitialised array of the broadcast shape and common dtype of terms,
-    to sum them into in place, left to right."""
-    return np.empty(np.broadcast_shapes(*(t.shape for t in terms)), np.result_type(*terms))
-
-
 def _chain(x, f0, f1, f2):
     """Compose a scalar function with a jet given f(x), f'(x), f''(x)."""
     f1, f2 = f1[..., None], f2[..., None, None]
-    f1h = f1[..., None]
     cross = x.grad[..., :, None] * x.grad[..., None, :]
-    hess = _empty(f1h, x.hess, f2, cross)
-    np.multiply(f1h, x.hess, out=hess)
-    hess += f2 * cross
-    return Jet(f0, f1 * x.grad, hess)
+    return Jet(f0, f1 * x.grad, f1[..., None] * x.hess + f2 * cross)
 
 
 def sin(x):

@@ -255,9 +255,7 @@ def _search_single(
     mats = None
     for _ in range(64):
         raw = np.fromiter((2.0 * rng.random() - 1.0 for _ in range(size)), float, size)
-        raw = raw.reshape(m, n, n)
-        raw = (raw + np.transpose(raw, (0, 2, 1))) / 2.0
-        mats = _retract(raw, norms)
+        mats = _retract(symmetrize(raw.reshape(m, n, n)), norms)
         if mats is not None:
             break
     if mats is None:
@@ -370,7 +368,7 @@ def extremal_search(
             "extremal search n=%d: %d of %d restarts stopped at MAX_ITERS=%d",
             n, exits["max_iters"], restarts, MAX_ITERS,
         )
-    best_mats = (best_mats + np.transpose(best_mats, (0, 2, 1))) / 2.0
+    best_mats = symmetrize(best_mats)
     best_mats[1:] *= scale
     best_value *= scale * scale
     fam = MatrixFamily(n=n, mats=best_mats)

@@ -46,9 +46,9 @@ from .zoo import ZooEntry
 # of them, so low-dimensional charts get larger batches, and n >= 8 stays at
 # the floor of SWEEP_MIN_BATCH points.  integral, scan and chart_volume cut the
 # grid into C-order boxes of at most that many points, each evaluated as an
-# open mesh; verify_chart keeps one flat pass over its grid rows and sample
-# points.  Every point is computed independently of its batch or box, so the
-# size bounds memory and never changes results.
+# open mesh; verify_chart cuts its flat stack of grid rows and sample points
+# by the same rule, as a one-axis grid.  Every point is computed independently
+# of its batch or box, so the size bounds memory and never changes results.
 SWEEP_ENTRIES = 2**17
 SWEEP_MIN_BATCH = 128
 SAMPLE_MARGIN = 0.05
@@ -150,25 +150,12 @@ def _batch_size(n: int) -> int:
     return max(SWEEP_MIN_BATCH, SWEEP_ENTRIES // ((2 * n + 2) * n * n))
 
 
-def _batches(pts: np.ndarray) -> list[np.ndarray]:
-    """pts split in order into equal batches of at most _batch_size(n) points."""
-    return np.array_split(pts, -(-pts.shape[0] // _batch_size(pts.shape[1])))
-
-
-def _sweep(chart: ImmersionChart, pts: np.ndarray):
-    """point_data of each batch of pts, in order; each driver keeps only the
-    columns it reads."""
-    for batch in _batches(pts):
-        yield point_data(chart, batch)
-
-
-def _boxes(counts: tuple[int, ...]) -> list[tuple[slice, ...]]:
-    """The grid with these counts cut into C-order boxes of at most
-    _batch_size(n) points.  A box fixes the indices of the leading axes, takes
-    a range along one axis k and the whole of the axes after k, so it is a
-    contiguous run of grid_points.  k is the first axis whose trailing axes
-    fit in one box; its ranges are equal to within one index."""
-    size = _batch_size(len(counts))
+def _boxes(counts: tuple[int, ...], size: int) -> list[tuple[slice, ...]]:
+    """The grid with these counts cut into C-order boxes of at most size
+    points.  A box fixes the indices of the leading axes, takes a range along
+    one axis k and the whole of the axes after k, so it is a contiguous run of
+    grid_points.  k is the first axis whose trailing axes fit in one box; its
+    ranges are equal to within one index."""
     k = next(k for k in range(len(counts)) if math.prod(counts[k + 1:]) <= size)
     pieces = -(-counts[k] // (size // math.prod(counts[k + 1:])))
     cuts = [j * counts[k] // pieces for j in range(pieces + 1)]
@@ -180,7 +167,7 @@ def _boxes(counts: tuple[int, ...]) -> list[tuple[slice, ...]]:
 def _meshes(chart: ImmersionChart, spec: GridSpec):
     """(open meshes of the grid's boxes in C order, cell volume)."""
     axes, cell = grid_axes(chart, spec)
-    boxes = _boxes(tuple(len(a) for a in axes))
+    boxes = _boxes(tuple(len(a) for a in axes), _batch_size(chart.dim))
     return [np.ix_(*(a[s] for a, s in zip(axes, box))) for box in boxes], cell
 
 
@@ -297,12 +284,15 @@ def verify_chart(
     simons = expected is not None and expected.simons_tol is not None
     spts = sample_points(chart, 20, seed=grid.seed + 7)
     # One batched pass over the grid rows, then the curvature samples, then the
-    # Simons point; every residual, rank and spectrum reads the grid rows only.
+    # Simons point, cut as a one-axis grid; every residual, rank and spectrum
+    # reads the grid rows only.
     rows = [pts, spts]
     if simons:
         rows.append(sample_points(chart, 1, seed=grid.seed + 101))
+    rows = np.concatenate(rows)
     parts = []
-    for pd in _sweep(chart, np.concatenate(rows)):
+    for (box,) in _boxes((len(rows),), _batch_size(chart.dim)):
+        pd = point_data(chart, rows[box])
         sp = pd.spectrum
         parts.append((sp.lambdas, sp.normB2, sp.pinch, pd.frame.vol, gauss_rank(sp),
                       legendrian_residual(pd.frame), minimality_residual(pd.sigma),

@@ -84,16 +84,20 @@ def test_verify_rejects_bad_tolerance(monkeypatch, capsys, flag, value):
 @pytest.mark.parametrize("argv", [
     ["integral", "--example", "flat-torus", "--grid", "4"],
     ["scan", "--example", "flat-torus", "--grid", "4"],
+    ["scan", "--example", "flat-torus", "--grid", "4", "--csv", "{dir}/scan.csv"],
 ])
-def test_nonfinite_output_is_numerical_failure(monkeypatch, capsys, argv):
+def test_nonfinite_output_is_numerical_failure(monkeypatch, capsys, tmp_path, argv):
+    # a non-finite result writes nothing: no stdout and no --csv file
     nan = float("nan")
     monkeypatch.setattr(cli, "integral_p1", lambda *a, **k: nan)
     monkeypatch.setattr(cli, "pinching_scan", lambda *a, **k: ScanResult(
         "pinch", np.zeros((1, 2)), np.array([nan]), nan, nan))
-    code = main(argv)
+    code = main([arg.replace("{dir}", str(tmp_path)) for arg in argv])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err.endswith("error: numerical failure: reports must not contain NaN or infinity\n")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_example(capsys):

@@ -303,11 +303,16 @@ def test_sweep_batch_rule():
         size = verify._batch_size(n)
         assert size == max(verify.SWEEP_MIN_BATCH, verify.SWEEP_ENTRIES // ((2 * n + 2) * n * n))
         assert (size == 128) == (n >= 8), n
-        # verify's flat pass: equal batches, to within one point
-        sizes = [len(b) for b in verify._batches(np.zeros((1000, n)))]
+        # verify's flat pass, the one-axis grid: equal batches, to within one point
+        sizes = _flat_batches(1000, n)
         assert sum(sizes) == 1000 and max(sizes) <= size and max(sizes) - min(sizes) <= 1, n
-    assert [len(b) for b in verify._batches(np.zeros((3000, 3)))] == [1500, 1500]
-    assert [len(b) for b in verify._batches(np.zeros((3641, 3)))] == [1214, 1214, 1213]
+    assert _flat_batches(3000, 3) == [1500, 1500]
+    assert _flat_batches(3641, 3) == [1213, 1214, 1214]
+
+
+def _flat_batches(points, n):
+    """Batch sizes of verify's flat pass over this many points of an n-dim chart."""
+    return [box.stop - box.start for (box,) in verify._boxes((points,), verify._batch_size(n))]
 
 
 @pytest.mark.parametrize("counts", [
@@ -319,7 +324,7 @@ def test_sweep_boxes_tile_the_grid(counts):
     # each one a contiguous run of grid_points within the batch budget
     size = verify._batch_size(len(counts))
     flat = []
-    for box in verify._boxes(counts):
+    for box in verify._boxes(counts, size):
         idx = np.ravel_multi_index(np.ix_(*(range(c)[s] for c, s in zip(counts, box))), counts)
         assert 0 < idx.size <= size, box
         flat.append(idx.ravel())

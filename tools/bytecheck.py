@@ -20,7 +20,10 @@ The roster:
 - the ``integral`` and ``scan --quantity pinch`` lines of the benchmark's
   ``sweep`` workload (equivariant-s3 at grid 10, calabi n=4 at grid 5), and
   ``integral --example calabi --n 4`` at the default grid, which spans many
-  sweep boxes.
+  sweep boxes;
+- ``verify --no-timing`` on calabi n=8 at grid 3 and ``integral`` on calabi
+  n=13 at grid 2, which run the jets at high n and the batch floor of 128
+  points.
 """
 
 from __future__ import annotations
@@ -61,6 +64,8 @@ ROSTER = (
        for ex, grid in ((["--example", "equivariant-s3"], "10"), (["--example", "calabi", "--n", "4"], "5"))
        for cmd, extra in (("integral", ()), ("scan", ("--quantity", "pinch")))]
     + [["integral", "--example", "calabi", "--n", "4"]]
+    + [["verify", "--example", "calabi", "--n", "8", "--grid", "3", "--seed", "0", "--no-timing"],
+       ["integral", "--example", "calabi", "--n", "13", "--grid", "2"]]
 )
 
 
