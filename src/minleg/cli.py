@@ -7,11 +7,17 @@ from user text or files), 3 numerical failure (NumericalFailure).  Every
 error prints one `error:` line to stderr.  Reports go to --out or stdout;
 diagnostics go to stderr.  Grids are evaluated in one thread, in batches
 sized to the chart dimension; the batch size never changes report bytes.
+
+The argparse tree is built once per process, on the first build_parser()
+call, and every later main() call parses with that same parser; callers must
+not mutate it.  The handlers look up the library functions as module globals
+when they run, so replacing one (cli.verify_chart, say) still takes effect.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -46,6 +52,14 @@ def _write(text: str, out_path: str | None):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_report_and_family(report: str, fam, out_path: str | None):
+    """The family to out_path first, then the report to stdout, so a failing
+    --out leaves stdout empty."""
+    if out_path:
+        _write(family_to_text(fam), out_path)
+    sys.stdout.write(report)
 
 
 def _cmd_zoo_list(args) -> int:
@@ -101,9 +115,7 @@ def _cmd_lu_check(args) -> int:
 def _cmd_lu_extremal(args) -> int:
     fam = canonical_extremal(args.n, args.k, args.mu)
     report = lu_check(fam)
-    sys.stdout.write(_lu_report_doc(fam, report))
-    if args.out:
-        _write(family_to_text(fam), args.out)
+    _write_report_and_family(_lu_report_doc(fam, report), fam, args.out)
     return 0 if report.is_equality else VERIFY_FAIL
 
 
@@ -122,13 +134,16 @@ def _cmd_lu_search(args) -> int:
         "exits": stats.exits,
         "gradient_steps": stats.steps,
     }
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-    if args.out:
-        _write(family_to_text(fam), args.out)
+    _write_report_and_family(json.dumps(doc, indent=2) + "\n", fam, args.out)
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand.  It is built on the first call and the
+    same object is returned by every later one, so each main() call after the
+    first skips building it; do not mutate it.  Help text is still formatted
+    when it is printed, at the terminal width of that moment."""
     fmt = argparse.ArgumentDefaultsHelpFormatter
     parser = argparse.ArgumentParser(
         prog="minleg",

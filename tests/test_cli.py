@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -207,6 +208,23 @@ def test_out_is_directory(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("out", ["dir", "missing-parent"])
+@pytest.mark.parametrize("argv", [
+    ["lu", "search", "--n", "3", "--profile", "1", "--restarts", "2"],
+    ["lu", "extremal", "--n", "3", "--k", "1"],
+], ids=["search", "extremal"])
+def test_lu_out_error_writes_nothing(tmp_path, capsys, argv, out):
+    # the --out file is written before the report, so a failing --out leaves
+    # stdout empty instead of printing a report and then exiting 2
+    path = tmp_path if out == "dir" else tmp_path / "missing" / "x.json"
+    code = main(argv + ["--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("exc", [
@@ -492,3 +510,51 @@ def test_missing_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_build_parser_is_shared():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_second_main_builds_no_parser(monkeypatch, capsys):
+    assert main(["zoo", "list"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["zoo", "list"]) == 0
+    assert built == []
+
+
+def test_shared_parser_carries_no_state(tmp_path, capsys):
+    # a usage error, --version and a failing command leave nothing behind
+    # in the shared parser for the next call to see
+    verify = ["verify", "--example", "flat-torus", "--grid", "4", "--no-timing"]
+    first = (main(verify), capsys.readouterr().out)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--example"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 2, "mats": [[1, 0, 0, "x"]]}')
+    assert main(["lu", "check", "--file", str(bad)]) == 1
+    capsys.readouterr()
+    assert (main(verify), capsys.readouterr().out) == first
+    assert first[0] == 0
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_repeats(capsys, argv):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and texts[0].startswith("usage: minleg")
