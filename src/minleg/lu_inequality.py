@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import MinlegError, seeded_random
+from . import MinlegError, NumericalFailure, seeded_random
 from .symmat import commutator, frobenius_inner, frobenius_norm, symmetrize
 
 log = logging.getLogger(__name__)
@@ -133,15 +133,28 @@ def lu_bound(fam: MatrixFamily) -> float:
 
 def lu_check(fam: MatrixFamily) -> LuReport:
     """Evaluate both sides of the inequality; slack = rhs - lhs, and an
-    equality is |slack| <= EQUALITY_TOL."""
-    a1 = fam.mats[0]
+    equality is |slack| <= EQUALITY_TOL.
+
+    Both sides are quadratic in the tail.  When its largest entry is at least
+    1, with binary exponent e, they are computed at the tail times 2^-e and
+    multiplied back by 2^2e, scalings that are exact, so no partial sum
+    overflows.  Raises NumericalFailure when the lhs exceeds the largest
+    double (the rhs cannot: MatrixFamily checks it).
+    """
+    e = max(int(np.frexp(np.max(np.abs(fam.mats[1:]), initial=0.0))[1]), 0)
+    mats = np.concatenate([fam.mats[:1], np.ldexp(fam.mats[1:], -e)])
+    a1 = mats[0]
     lhs = 0.0
-    for a in fam.mats[1:]:
+    for a in mats[1:]:
         c = commutator(a1, a)
         lhs += frobenius_inner(c, c)
-    rhs = lu_bound(fam)
-    slack = rhs - lhs
-    return LuReport(lhs=float(lhs), rhs=rhs, slack=float(slack), is_equality=abs(slack) <= EQUALITY_TOL)
+    rhs = _bound(np.einsum("aij,aij->a", mats, mats))
+    try:
+        lhs, rhs, slack = (math.ldexp(x, 2 * e) for x in (lhs, rhs, rhs - lhs))
+    except OverflowError:
+        raise NumericalFailure(
+            f"lhs sum ||[A_1, A_a]||^2 = {lhs!r} * 2^{2 * e} exceeds the largest double") from None
+    return LuReport(lhs=lhs, rhs=rhs, slack=slack, is_equality=abs(slack) <= EQUALITY_TOL)
 
 
 def canonical_extremal(n: int, k: int, mu: float = 1.0) -> MatrixFamily:
@@ -173,11 +186,13 @@ def canonical_extremal(n: int, k: int, mu: float = 1.0) -> MatrixFamily:
 # ---- extremal search ------------------------------------------------------
 
 
-def objective_value(mats: np.ndarray) -> float:
-    """Phi = sum_{a>=2} ||[A_1, A_a]||^2 on a stacked family (m, n, n)."""
-    a1 = mats[0]
-    c = a1 @ mats[1:] - mats[1:] @ a1
-    return float(np.einsum("aij,aij->", c, c))
+def objective_value(mats: np.ndarray) -> np.ndarray:
+    """Phi = sum_{a>=2} ||[A_1, A_a]||^2 of a family (m, n, n), or of each
+    family in a stack (..., m, n, n); the sum runs along one flat row per family."""
+    a1 = mats[..., :1, :, :]
+    rest = mats[..., 1:, :, :]
+    c = (a1 @ rest - rest @ a1).reshape(*mats.shape[:-3], -1)
+    return np.einsum("...k,...k->...", c, c)
 
 
 def objective_gradients(mats: np.ndarray) -> np.ndarray:
@@ -193,43 +208,53 @@ def objective_gradients(mats: np.ndarray) -> np.ndarray:
     return grad
 
 
-def _retract(mats: np.ndarray, norms: np.ndarray) -> np.ndarray | None:
-    """Gram-Schmidt in the HS inner product (index order), then fix norms.
+def _retract(mats: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram-Schmidt in the HS inner product (index order), then fix norms, on
+    each family of a stack (R, m, n, n).
 
     Right-looking: once slot i is scaled, one row reduction gives ||q_i||^2
-    and every later slot's inner product with q_i.  Returns None when a
-    direction with positive target norm degenerates.
+    and every later slot's inner product with q_i.  Returns the stack and a
+    mask of the families that kept every direction with positive target
+    norm; a family outside it degenerated, and its entries are finite but
+    meaningless.
     """
-    w = mats.reshape(mats.shape[0], -1).copy()
-    for i, wi in enumerate(w):
+    r, m = mats.shape[:2]
+    w = mats.reshape(r, m, -1).copy()
+    low = np.full((r, 1), math.inf)  # each family's least norm of a slot with positive target
+    for i in range(m):
+        wi = w[:, i]
         if norms[i] == 0.0:
             wi.fill(0.0)
             continue
-        nrm = math.sqrt(np.add.reduce(wi * wi))
-        if nrm <= 1e-12:
-            return None
-        wi *= norms[i] / nrm
-        if i + 1 < len(w):
-            d = np.add.reduce(w[i:] * wi, axis=1)
-            if d[0] > 0.0:
-                w[i + 1 :] -= (d[1:] / d[0])[:, None] * wi
-    return w.reshape(mats.shape)
+        nrm = np.sqrt(np.add.reduce(wi * wi, axis=1, keepdims=True))
+        np.minimum(low, nrm, out=low)
+        # a degenerate slot is scaled as if its norm were 1e-12, which keeps it finite
+        wi *= norms[i] / np.maximum(nrm, 1e-12)
+        if i + 1 < m:
+            d = np.add.reduce(w[:, i:] * wi[:, None], axis=2, keepdims=True)
+            if d[:, 0].min() > 0.0:
+                w[:, i + 1 :] -= d[:, 1:] / d[:, :1] * wi[:, None]
+            else:  # a family whose slot i vanished subtracts nothing
+                j = np.flatnonzero(d[:, 0, 0] > 0.0)
+                w[j, i + 1 :] -= d[j, 1:] / d[j, :1] * w[j, i, None]
+    return w.reshape(mats.shape), low[:, 0] > 1e-12
 
 
 def _project_gradient(grad: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Remove components along span{A_1, ..., A_m} from each slot, in place.
+    """Remove components along span{A_1, ..., A_m} from each slot, in place,
+    for each family of a stack (R, m, n, n).
 
-    With G and W the slots flattened to rows, G -= ((G W^T) * inv) W, where
-    inv_b = 1/||A_b||^2 (0 for a zero slot).  The family is HS-orthogonal, so
-    this is an exact projection; at a constrained critical point the projected
-    gradient vanishes.
+    With G and W the slots of a family flattened to rows,
+    G -= ((G W^T) * inv) W, where inv_b = 1/||A_b||^2 (0 for a zero slot).
+    The family is HS-orthogonal, so this is an exact projection; at a
+    constrained critical point the projected gradient vanishes.
     """
-    m = mats.shape[0]
-    g = grad.reshape(m, -1)
-    w = mats.reshape(m, -1)
-    norms2 = np.einsum("ak,ak->a", w, w)
-    inv = np.divide(1.0, norms2, out=np.zeros(m), where=norms2 > 0.0)
-    g -= ((g @ w.T) * inv) @ w
+    r, m = mats.shape[:2]
+    g = grad.reshape(r, m, -1)
+    w = mats.reshape(r, m, -1)
+    norms2 = np.einsum("rak,rak->ra", w, w)
+    inv = np.divide(1.0, norms2, out=np.zeros((r, m)), where=norms2 > 0.0)
+    g -= ((g @ w.swapaxes(1, 2)) * inv[:, None, :]) @ w
     return grad
 
 
@@ -242,53 +267,100 @@ STEP0 = 0.1
 # critical level (2 + sqrt(2) at profile (1, 1, 1)), and stops.
 STALL_STEPS = 200
 STALL_TOL = 1e-10
+# Restarts run in lockstep groups of at most max(1, LOCKSTEP_ENTRIES // (m n^2))
+# families: all 48 of lu search --n 4 --profile 1,1,1 --restarts 48 share one
+# group, and n = MAX_DIM runs one family at a time.  A stack of 2^16 doubles
+# is 512 KB; budgets of 2^12 to 2^14 were no faster at any n from 4 to 48.
+LOCKSTEP_ENTRIES = 2**16
 
 
-def _search_single(
-    n: int, norms: np.ndarray, ceiling: float, rng: Random
-) -> tuple[float, np.ndarray, str, int]:
-    """One restart: (value, family, exit reason, gradient steps).  The start
-    draws its m*n*n entries in C order, each 2 * random() - 1, that is
-    uniform on [-1, 1), then symmetrizes and retracts them."""
-    m = norms.size
+def _draw_start(rng: Random, m: int, n: int) -> np.ndarray:
+    """m*n*n entries in C order, each 2 * random() - 1, that is uniform on [-1, 1)."""
     size = m * n * n
-    mats = None
-    for _ in range(64):
-        raw = np.fromiter((2.0 * rng.random() - 1.0 for _ in range(size)), float, size)
-        mats = _retract(symmetrize(raw.reshape(m, n, n)), norms)
-        if mats is not None:
+    return np.fromiter((2.0 * rng.random() - 1.0 for _ in range(size)), float, size).reshape(m, n, n)
+
+
+def _search_group(
+    n: int, norms: np.ndarray, ceiling: float, rngs: Sequence[Random]
+) -> list[tuple[float, np.ndarray, str, int]]:
+    """Restarts in lockstep, one per generator: (value, family, exit reason,
+    gradient steps) of each.
+
+    Each restart symmetrizes and retracts its drawn start, redrawing from its
+    own generator while the start degenerates, then keeps its own value, step
+    size, stall anchor and step count.  All restarts of the group start at
+    the same iteration, and every active one takes one gradient step per
+    iteration; the stacked retraction, projection and objective serve all of
+    them at once.  Every row goes through the same floating-point operations
+    in the same order as a restart run on its own, so its result does not
+    depend on the group it runs in.
+    """
+    m = norms.size
+    count = len(rngs)
+    mats, ok = np.empty((count, m, n, n)), np.zeros(count, dtype=bool)
+    for _ in range(64):  # draws per restart, at most
+        redo = np.flatnonzero(~ok)
+        if not redo.size:
             break
-    if mats is None:
+        mats[redo], ok[redo] = _retract(symmetrize(np.stack([_draw_start(rngs[r], m, n) for r in redo])), norms)
+    if not ok.all():
         raise RuntimeError("could not draw a nondegenerate starting family")
     value = objective_value(mats)
     # Phi can never exceed the proven bound, so stop once it is reached.
     reached = 1e-12 * max(1.0, ceiling)
     stall_rise = STALL_TOL * max(1.0, ceiling)
-    anchor = value
-    step = STEP0
+    rows = np.arange(count)  # the restart of each active row
+    anchor = value.copy()
+    step = np.full(count, STEP0)
+    results = [None] * count
+
+    def retire(mask, reason, taken):
+        """Record the rows in mask as exited, and drop them from the group."""
+        nonlocal rows, mats, value, anchor, step
+        if not mask.any():
+            return
+        for j in np.flatnonzero(mask):
+            results[rows[j]] = (float(value[j]), mats[j].copy(), reason, taken)
+        keep = ~mask
+        rows, mats, value, anchor, step = rows[keep], mats[keep], value[keep], anchor[keep], step[keep]
+
     for it in range(MAX_ITERS):
-        if ceiling - value <= reached:
-            return value, mats, "ceiling", it
+        retire(ceiling - value <= reached, "ceiling", it)
         if it and it % STALL_STEPS == 0:
-            if value - anchor <= stall_rise:
-                return value, mats, "stalled", it
-            anchor = value
-        proj = _project_gradient(objective_gradients(mats), mats)
-        gnorm2 = float(np.einsum("aij,aij->", proj, proj))
-        if math.sqrt(gnorm2) < GRAD_TOL:
-            return value, mats, "grad_tol", it + 1
-        step = min(2.0 * step, STEP0)
-        while True:
-            cand = _retract(mats + step * proj, norms)
-            if cand is not None:
-                cand_value = objective_value(cand)
-                if cand_value >= value + ARMIJO * step * gnorm2:
-                    mats, value = cand, cand_value
-                    break
-            step *= 0.5
-            if step < 1e-14:
-                return value, mats, "step_underflow", it + 1
-    return value, mats, "max_iters", MAX_ITERS
+            retire(value - anchor <= stall_rise, "stalled", it)
+            anchor = value.copy()
+        if not rows.size:
+            break
+        # one objective_gradients call per restart and step, so its calls count the gradient steps
+        proj = _project_gradient(np.stack([objective_gradients(fam) for fam in mats]), mats)
+        flat = proj.reshape(rows.size, -1)
+        gnorm2 = np.einsum("rk,rk->r", flat, flat)
+        small = np.sqrt(gnorm2) < GRAD_TOL
+        step = np.minimum(2.0 * step, STEP0)
+        under = np.zeros(rows.size, dtype=bool)
+        search = np.flatnonzero(~small)  # the rows still in the line search
+        while search.size:
+            s = step[search]
+            # a round of every row, the common first round, gathers and
+            # scatters nothing: at large n those copies cost about 10 %
+            full = search.size == rows.size
+            base, dirn = (mats, proj) if full else (mats[search], proj[search])
+            cand, ok = _retract(base + s[:, None, None, None] * dirn, norms)
+            cand_value = objective_value(cand)
+            ok &= cand_value >= value[search] + ARMIJO * s * gnorm2[search]
+            if full and ok.all():
+                mats, value = cand, cand_value
+                break
+            mats[search[ok]], value[search[ok]] = cand[ok], cand_value[ok]
+            search = search[~ok]
+            step[search] *= 0.5
+            low = step[search] < 1e-14
+            under[search[low]] = True
+            search = search[~low]
+        retire(small, "grad_tol", it + 1)
+        retire(under[~small], "step_underflow", it + 1)
+    retire(np.ones(rows.size, dtype=bool), "max_iters", MAX_ITERS)
+    return results
 
 
 EXIT_REASONS = ("ceiling", "grad_tol", "step_underflow", "stalled", "max_iters")
@@ -307,9 +379,11 @@ def extremal_search(
 ) -> tuple[float, MatrixFamily, SearchStats]:
     """Maximize Phi over families with ||A_1|| = 1 and ||A_a|| fixed.
 
-    Projected gradient ascent with backtracking line search.  Restarts run
-    serially; each draws its start from seeded_random(seed, restart index),
-    so every restart is reproducible bit for bit on its own.
+    Projected gradient ascent with backtracking line search.  Restarts run in
+    lockstep groups of consecutive indices (see LOCKSTEP_ENTRIES); each draws
+    its start from seeded_random(seed, restart index) and takes the same
+    floating-point steps as it would alone, so every restart is reproducible
+    bit for bit on its own, whatever group it runs in.
     Returns the best value and family over all restarts (ties resolved by
     lowest restart index) and the SearchStats of the run.  Logs the stats at
     INFO, with the distinct final values (9 significant digits) of the
@@ -348,14 +422,16 @@ def extremal_search(
     exits = dict.fromkeys(EXIT_REASONS, 0)
     steps = 0
     levels = set()
-    for r in range(restarts):
-        value, mats, reason, taken = _search_single(n, norms, ceiling, seeded_random(seed, r))
-        exits[reason] += 1
-        steps += taken
-        if reason != "ceiling":
-            levels.add(f"{value * scale * scale:.9g}")
-        if value > best_value:
-            best_value, best_mats = value, mats
+    group = max(1, LOCKSTEP_ENTRIES // (norms.size * n * n))
+    for first in range(0, restarts, group):
+        rngs = [seeded_random(seed, r) for r in range(first, min(first + group, restarts))]
+        for value, mats, reason, taken in _search_group(n, norms, ceiling, rngs):
+            exits[reason] += 1
+            steps += taken
+            if reason != "ceiling":
+                levels.add(f"{value * scale * scale:.9g}")
+            if value > best_value:
+                best_value, best_mats = value, mats
     stats = SearchStats(exits=exits, steps=steps)
     log.info(
         "extremal search n=%d: %d restarts, %d gradient steps, exits %s, "

@@ -414,6 +414,36 @@ def test_lu_extremal_mu_just_below_overflow():
         canonical_extremal(3, 1, 6.8e153)
 
 
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("n, k, mu, code", [
+    # the largest accepted mu at (3, 2) and at (12, 11): the bound fits a
+    # double, but the lhs rounds to 2^1024, a numerical failure
+    (3, 2, "5.4737146662668906e+153", 3),
+    (12, 11, "2.7368573331334453e+153", 3),
+    # just below them the lhs fits; (3, 2) misses the absolute EQUALITY_TOL
+    (3, 2, "5.473714666266885e+153", 1),
+    (12, 11, "2.736857333133445e+153", 0),
+])
+def test_lu_extremal_lhs_at_the_largest_double(tmp_path, capsys, recwarn, n, k, mu, code):
+    out = tmp_path / "family.json"
+    rc = main(["lu", "extremal", "--n", str(n), "--k", str(k), "--mu", mu, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == code
+    if code == 3:
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: numerical failure: lhs ") and captured.err.count("\n") == 1
+    else:
+        # a strict parse: Infinity, -Infinity and NaN are refused
+        doc = json.loads(captured.out, parse_constant=_not_json)
+        assert doc["slack"] == doc["rhs"] - doc["lhs"] and doc["lhs"] > 1.79e308
+        assert main(["lu", "check", "--file", str(out)]) == (0 if doc["slack"] >= -1e-10 else 1)
+        json.loads(capsys.readouterr().out, parse_constant=_not_json)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--example", "calabi", "--n", "2", "--grid", "2", "--seed", "-1"],
     ["verify", "--example", "calabi", "--n", "2", "--grid", "2", "--seed", "-8"],

@@ -21,6 +21,9 @@ from minleg.lu_inequality import (
     objective_value,
 )
 
+from minleg import seeded_random
+from minleg.symmat import symmetrize
+
 from _helpers import random_orthogonal, random_orthogonal_family, random_symmetric
 
 
@@ -303,14 +306,14 @@ def test_search_warns_when_restarts_run_out_of_iterations(monkeypatch, caplog):
 
 def test_search_names_grad_tol_and_step_underflow_exits(monkeypatch):
     exits = []
-    single = lu._search_single
+    group = lu._search_group
 
     def recording(*args):
-        result = single(*args)
-        exits.append(result[2:])  # (exit reason, gradient steps)
-        return result
+        results = group(*args)
+        exits.extend(result[2:] for result in results)  # (exit reason, gradient steps)
+        return results
 
-    monkeypatch.setattr(lu, "_search_single", recording)
+    monkeypatch.setattr(lu, "_search_group", recording)
     monkeypatch.setattr(lu, "GRAD_TOL", math.inf)  # any gradient is small enough
     extremal_search(3, (1.0, 0.5), restarts=3, seed=1)
     assert exits == [("grad_tol", 1)] * 3
@@ -325,14 +328,14 @@ def test_search_stalled_restarts_exit_at_second_critical_level(monkeypatch, capl
     # criterion 05's inputs: the restarts short of the bound sit at value
     # 2 + sqrt(2), and the stall rule ends them long before MAX_ITERS
     ends = []
-    single = lu._search_single
+    group = lu._search_group
 
     def recording(*args):
-        result = single(*args)
-        ends.append((result[2], result[0], result[3]))  # (exit reason, value, gradient steps)
-        return result
+        results = group(*args)
+        ends.extend((result[2], result[0], result[3]) for result in results)  # (exit reason, value, gradient steps)
+        return results
 
-    monkeypatch.setattr(lu, "_search_single", recording)
+    monkeypatch.setattr(lu, "_search_group", recording)
     with caplog.at_level(logging.INFO, logger="minleg.lu_inequality"):
         _, _, stats = extremal_search(4, (1.0, 1.0, 1.0), restarts=100, seed=2024)
     reasons = [reason for reason, _, _ in ends]
@@ -392,21 +395,36 @@ def test_retract_bit_identical_to_reference():
         elif kind == 4:  # a tiny scale, near the degeneracy threshold
             raw *= 10.0 ** rng.uniform(-14.0, -10.0)
         ref = _reference_retract(raw, norms)
-        new = lu._retract(raw, norms)
-        if ref is None:
-            assert new is None, trial
-            outcomes["none"] += 1
-        else:
-            assert new is not None and new.shape == ref.shape, trial
-            assert new.tobytes() == ref.tobytes(), trial
-            outcomes["family"] += 1
+        # alone, and in a stack beside a zero family, whose vanished slots
+        # take the stack off its unmasked path
+        for stack in (raw[None], np.stack([raw, np.zeros_like(raw)])):
+            new, ok = lu._retract(stack, norms)
+            assert new.shape == stack.shape and ok.shape == (len(stack),), trial
+            if ref is None:
+                assert not ok[0], trial
+            else:
+                assert ok[0] and new[0].shape == ref.shape, trial
+                assert new[0].tobytes() == ref.tobytes(), trial
+        outcomes["none" if ref is None else "family"] += 1
     assert min(outcomes.values()) > 300, outcomes
+
+
+def _reference_retract_stack(mats, norms):
+    """_reference_retract on each family of a stack, with _retract's mask of the nondegenerate ones."""
+    out, ok = np.zeros_like(mats), np.ones(len(mats), dtype=bool)
+    for r, fam in enumerate(mats):
+        ref = _reference_retract(fam, norms)
+        if ref is None:
+            ok[r] = False
+        else:
+            out[r] = ref
+    return out, ok
 
 
 @pytest.mark.parametrize("seed", [3, 7])
 def test_search_trajectory_identical_with_reference_retract(monkeypatch, seed):
     best, fam, _ = extremal_search(4, (1.0, 1.0, 1.0), restarts=8, seed=seed)
-    monkeypatch.setattr(lu, "_retract", _reference_retract)
+    monkeypatch.setattr(lu, "_retract", _reference_retract_stack)
     ref_best, ref_fam, _ = extremal_search(4, (1.0, 1.0, 1.0), restarts=8, seed=seed)
     assert np.float64(best).tobytes() == np.float64(ref_best).tobytes()
     assert fam.mats.tobytes() == ref_fam.mats.tobytes()
@@ -435,7 +453,7 @@ def test_project_gradient_matches_reference():
         if trial % 5 in (1, 2) and m > 1:
             norms[int(rng.integers(1, m)):] = 0.0
         raw = rng.standard_normal((m, n, n))
-        mats = lu._retract((raw + np.transpose(raw, (0, 2, 1))) / 2.0, norms)
+        mats = lu._retract(((raw + np.transpose(raw, (0, 2, 1))) / 2.0)[None], norms)[0][0]
         if trial % 2:
             grad = lu.objective_gradients(mats)
         else:
@@ -444,13 +462,160 @@ def test_project_gradient_matches_reference():
         scale = max(1.0, float(np.max(np.abs(grad))))
         ref = _reference_project(grad.copy(), mats)
         new = grad.copy()
-        assert lu._project_gradient(new, mats) is new  # in place
+        stack = new[None]
+        assert lu._project_gradient(stack, mats[None]) is stack  # in place, so new holds the result
         assert np.max(np.abs(new - ref)) <= 1e-13 * scale, trial
         # the result is HS-orthogonal to every slot of the family
         dots = np.einsum("aij,bij->ab", new, mats)
         assert np.max(np.abs(dots)) <= 1e-12 * scale, trial
         cases["m=1" if m == 1 else "zero tail" if norms[-1] == 0.0 else "full"] += 1
     assert min(cases.values()) > 250, cases
+
+
+# ---- the lockstep search against a serial restart -----------------------------
+
+
+def _serial_value(mats):
+    a1 = mats[0]
+    c = a1 @ mats[1:] - mats[1:] @ a1
+    return float(np.einsum("aij,aij->", c, c))
+
+
+def _serial_project(grad, mats):
+    m = mats.shape[0]
+    g = grad.reshape(m, -1)
+    w = mats.reshape(m, -1)
+    norms2 = np.einsum("ak,ak->a", w, w)
+    inv = np.divide(1.0, norms2, out=np.zeros(m), where=norms2 > 0.0)
+    g -= ((g @ w.T) * inv) @ w
+    return grad
+
+
+def _serial_restart(n, norms, ceiling, rng):
+    """One restart on its own, one family at a time: (value, family, exit
+    reason, gradient steps)."""
+    m = norms.size
+    size = m * n * n
+    mats = None
+    for _ in range(64):
+        raw = np.fromiter((2.0 * rng.random() - 1.0 for _ in range(size)), float, size)
+        mats = _reference_retract(symmetrize(raw.reshape(m, n, n)), norms)
+        if mats is not None:
+            break
+    assert mats is not None
+    value = _serial_value(mats)
+    reached = 1e-12 * max(1.0, ceiling)
+    stall_rise = lu.STALL_TOL * max(1.0, ceiling)
+    anchor = value
+    step = lu.STEP0
+    for it in range(lu.MAX_ITERS):
+        if ceiling - value <= reached:
+            return value, mats, "ceiling", it
+        if it and it % lu.STALL_STEPS == 0:
+            if value - anchor <= stall_rise:
+                return value, mats, "stalled", it
+            anchor = value
+        proj = _serial_project(lu.objective_gradients(mats), mats)
+        gnorm2 = float(np.einsum("aij,aij->", proj, proj))
+        if math.sqrt(gnorm2) < lu.GRAD_TOL:
+            return value, mats, "grad_tol", it + 1
+        step = min(2.0 * step, lu.STEP0)
+        while True:
+            cand = _reference_retract(mats + step * proj, norms)
+            if cand is not None:
+                cand_value = _serial_value(cand)
+                if cand_value >= value + lu.ARMIJO * step * gnorm2:
+                    mats, value = cand, cand_value
+                    break
+            step *= 0.5
+            if step < 1e-14:
+                return value, mats, "step_underflow", it + 1
+    return value, mats, "max_iters", lu.MAX_ITERS
+
+
+def _outcome(value, mats, reason, steps):
+    return np.float64(value).tobytes(), mats.tobytes(), reason, steps
+
+
+def _lockstep_outcomes(monkeypatch, n, profile, restarts, seed, families=None):
+    """extremal_search's per-restart outcomes, the sizes of its lockstep groups,
+    and the norms and ceiling it searched at; families, when given, caps a group."""
+    outcomes, sizes, inputs = [], [], []
+    group = lu._search_group
+
+    def recording(n, norms, ceiling, rngs):
+        results = group(n, norms, ceiling, rngs)
+        outcomes.extend(_outcome(*result) for result in results)
+        sizes.append(len(rngs))
+        inputs.append((norms, ceiling))
+        return results
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lu, "_search_group", recording)
+        if families is not None:
+            patch.setattr(lu, "LOCKSTEP_ENTRIES", families * (len(profile) + 1) * n * n)
+        extremal_search(n, profile, restarts=restarts, seed=seed)
+    return outcomes, sizes, inputs[0]
+
+
+def _serial_outcomes(n, norms, ceiling, restarts, seed):
+    return [_outcome(*_serial_restart(n, norms, ceiling, seeded_random(seed, r))) for r in range(restarts)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 5, 7, 11, 13, 953, 967])
+def test_lockstep_restarts_bit_identical_to_serial(monkeypatch, seed):
+    # the benchmark's search: all 48 restarts in one group
+    outcomes, sizes, (norms, ceiling) = _lockstep_outcomes(monkeypatch, 4, (1.0, 1.0, 1.0), 48, seed)
+    assert sizes == [48]
+    assert outcomes == _serial_outcomes(4, norms, ceiling, 48, seed)
+
+
+def test_lockstep_bit_identical_to_serial_on_small_profiles(monkeypatch):
+    # zero, tiny and repeated norms, at every n whose family they fit; each
+    # case once as one group and once capped at one and at two families
+    cases = [(n, profile) for n in range(2, 7)
+             for profile in [(1.0,), (1.0, 0.5), (1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0),
+                             (1.0, 0.3, 0.3, 0.1), (1e-170, 1e-170)]
+             if len(profile) <= n - 1]
+    assert len(cases) == 26
+    for n, profile in cases:
+        outcomes, sizes, (norms, ceiling) = _lockstep_outcomes(monkeypatch, n, profile, 3, 17)
+        assert sizes == [3], (n, profile)
+        assert outcomes == _serial_outcomes(n, norms, ceiling, 3, 17), (n, profile)
+        for families, expected in ((1, [1, 1, 1]), (2, [2, 1])):
+            capped, sizes, _ = _lockstep_outcomes(monkeypatch, n, profile, 3, 17, families)
+            assert sizes == expected and capped == outcomes, (n, profile, families)
+
+
+def test_lockstep_redraws_a_degenerate_start_from_its_own_generator(monkeypatch):
+    # the first start of restart 1 is replaced by zeros, which degenerate; it
+    # redraws from its own generator, and restarts 0 and 2 are untouched
+    draw, calls = lu._draw_start, []
+
+    def zero_second_call(rng, m, n):
+        start = draw(rng, m, n)
+        calls.append(start.size)
+        return np.zeros_like(start) if len(calls) == 2 else start
+
+    monkeypatch.setattr(lu, "_draw_start", zero_second_call)
+    outcomes, sizes, (norms, ceiling) = _lockstep_outcomes(monkeypatch, 3, (1.0,), 3, 17)
+    assert sizes == [3] and calls == [18] * 4
+    serial = _serial_outcomes(3, norms, ceiling, 3, 17)
+    assert outcomes[0] == serial[0] and outcomes[2] == serial[2]
+    rng = seeded_random(17, 1)
+    [rng.random() for _ in range(18)]  # the discarded first draw
+    assert outcomes[1] == _outcome(*_serial_restart(3, norms, ceiling, rng)) != serial[1]
+
+
+def test_lockstep_bytes_do_not_depend_on_the_group(monkeypatch):
+    # the benchmark's profile at a seed whose restarts end at the ceiling, in
+    # the line search and at a stall
+    outcomes, sizes, _ = _lockstep_outcomes(monkeypatch, 4, (1.0, 1.0, 1.0), 12, 5)
+    assert sizes == [12]
+    assert {reason for _, _, reason, _ in outcomes} == {"ceiling", "step_underflow", "stalled"}
+    for families, expected in ((1, [1] * 12), (2, [2] * 6), (5, [5, 5, 2])):
+        capped, sizes, _ = _lockstep_outcomes(monkeypatch, 4, (1.0, 1.0, 1.0), 12, 5, families)
+        assert sizes == expected and capped == outcomes, families
 
 
 # ---- serialization -------------------------------------------------------------

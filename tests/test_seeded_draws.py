@@ -62,22 +62,24 @@ def test_sample_points_stream_is_pinned():
 
 
 def test_search_start_stream_is_pinned(monkeypatch):
-    # the first _retract call of a restart receives its symmetrized start
+    # the first _retract call of a lockstep group receives the symmetrized
+    # starts of its restarts, one row each; restarts 0 and 1 share a group
     calls, starts = [], []
-    retract, single = lu._retract, lu._search_single
+    retract, group = lu._retract, lu._search_group
 
     def spy_retract(mats, norms):
         calls.append(mats.copy())
         return retract(mats, norms)
 
-    def spy_single(*args):
+    def spy_group(*args):
         starts.append(len(calls))
-        return single(*args)
+        return group(*args)
 
     monkeypatch.setattr(lu, "_retract", spy_retract)
-    monkeypatch.setattr(lu, "_search_single", spy_single)
+    monkeypatch.setattr(lu, "_search_group", spy_group)
     lu.extremal_search(2, (1.0,), restarts=2, seed=3)
-    start = calls[starts[1]]
+    assert starts == [0]
+    start = calls[starts[0]][1]
     assert [x.hex() for x in start.ravel().tolist()] == [
         "-0x1.7f31b2a75d90ap-1", "-0x1.7eaf882c3ad75p-1",
         "-0x1.7eaf882c3ad75p-1", "-0x1.bffcdb36d55e8p-1",

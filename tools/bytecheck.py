@@ -16,7 +16,9 @@ The roster:
 - ``integral`` and ``scan --csv`` on every zoo entry at grid 6;
 - ``lu extremal`` (n, k) = (3, 1) and (4, 2) with ``--out``, and ``lu check``
   on those files;
-- ``lu search --n 4 --profile 1,1,1 --restarts 48 --out`` at seeds 3 and 7;
+- ``lu search --n 4 --profile 1,1,1 --restarts 48 --out`` at seeds 3 and 7,
+  and ``lu search --restarts 12 --seed 7 --out`` at n=2 profile 1, n=3
+  profiles 1,0.5 and 1e3,1, and n=4 profile 1,0,0 (zero and scaled tails);
 - the ``integral`` and ``scan --quantity pinch`` lines of the benchmark's
   ``sweep`` workload (equivariant-s3 at grid 10, calabi n=4 at grid 5), and
   ``integral --example calabi --n 4`` at the default grid, which spans many
@@ -60,6 +62,9 @@ ROSTER = (
     + [["lu", "check", "--file", f"{{dir}}/extremal-{n}-{k}.json"] for n, k in ((3, 1), (4, 2))]
     + [["lu", "search", "--n", "4", "--profile", "1,1,1", "--restarts", "48",
         "--seed", str(seed), "--out", f"{{dir}}/search-{seed}.json"] for seed in (3, 7)]
+    + [["lu", "search", "--n", n, "--profile", profile, "--restarts", "12", "--seed", "7",
+        "--out", f"{{dir}}/search-p{i}.json"]
+       for i, (n, profile) in enumerate((("2", "1"), ("3", "1,0.5"), ("4", "1,0,0"), ("3", "1e3,1")))]
     + [[cmd, *ex, "--grid", grid, "--seed", "7", *extra]
        for ex, grid in ((["--example", "equivariant-s3"], "10"), (["--example", "calabi", "--n", "4"], "5"))
        for cmd, extra in (("integral", ()), ("scan", ("--quantity", "pinch")))]
