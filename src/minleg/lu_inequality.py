@@ -135,26 +135,21 @@ def lu_check(fam: MatrixFamily) -> LuReport:
     """Evaluate both sides of the inequality; slack = rhs - lhs, and an
     equality is |slack| <= EQUALITY_TOL.
 
-    Both sides are quadratic in the tail.  When its largest entry is at least
-    1, with binary exponent e, they are computed at the tail times 2^-e and
-    multiplied back by 2^2e, scalings that are exact, so no partial sum
-    overflows.  Raises NumericalFailure when the lhs exceeds the largest
-    double (the rhs cannot: MatrixFamily checks it).
+    Raises NumericalFailure when the lhs exceeds the largest double.  The rhs
+    cannot (MatrixFamily checks it), and the lhs is a sum of non-negative
+    terms, so it overflows only when its rounded total does.
     """
-    e = max(int(np.frexp(np.max(np.abs(fam.mats[1:]), initial=0.0))[1]), 0)
-    mats = np.concatenate([fam.mats[:1], np.ldexp(fam.mats[1:], -e)])
-    a1 = mats[0]
+    a1 = fam.mats[0]
     lhs = 0.0
-    for a in mats[1:]:
-        c = commutator(a1, a)
-        lhs += frobenius_inner(c, c)
-    rhs = _bound(np.einsum("aij,aij->a", mats, mats))
-    try:
-        lhs, rhs, slack = (math.ldexp(x, 2 * e) for x in (lhs, rhs, rhs - lhs))
-    except OverflowError:
-        raise NumericalFailure(
-            f"lhs sum ||[A_1, A_a]||^2 = {lhs!r} * 2^{2 * e} exceeds the largest double") from None
-    return LuReport(lhs=lhs, rhs=rhs, slack=slack, is_equality=abs(slack) <= EQUALITY_TOL)
+    with np.errstate(over="ignore"):
+        for a in fam.mats[1:]:
+            c = commutator(a1, a)
+            lhs += frobenius_inner(c, c)
+    if not math.isfinite(lhs):
+        raise NumericalFailure("lhs sum ||[A_1, A_a]||^2 exceeds the largest double")
+    rhs = lu_bound(fam)
+    slack = rhs - lhs
+    return LuReport(lhs=float(lhs), rhs=rhs, slack=float(slack), is_equality=abs(slack) <= EQUALITY_TOL)
 
 
 def canonical_extremal(n: int, k: int, mu: float = 1.0) -> MatrixFamily:
@@ -195,14 +190,14 @@ def objective_value(mats: np.ndarray) -> np.ndarray:
     return np.einsum("...k,...k->...", c, c)
 
 
-def objective_gradients(mats: np.ndarray) -> np.ndarray:
+def objective_gradients(mats: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Euclidean gradient of Phi: with C_a = [A_1, A_a],
     dPhi/dA_1 = 2 sum_a [C_a, A_a] and dPhi/dA_a = 2 [A_1, C_a].
-    Both outputs are symmetric."""
+    Both outputs are symmetric.  Written into out when it is given."""
     a1 = mats[0]
     rest = mats[1:]
     c = a1 @ rest - rest @ a1
-    grad = np.empty_like(mats)
+    grad = np.empty_like(mats) if out is None else out
     grad[0] = 2.0 * np.add.reduce(c @ rest - rest @ c, axis=0)
     grad[1:] = 2.0 * (a1 @ c - c @ a1)
     return grad
@@ -220,24 +215,21 @@ def _retract(mats: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """
     r, m = mats.shape[:2]
     w = mats.reshape(r, m, -1).copy()
-    low = np.full((r, 1), math.inf)  # each family's least norm of a slot with positive target
+    nrm = np.full((r, m, 1), math.inf)  # each slot's norm before scaling; inf at a zero target
     for i in range(m):
         wi = w[:, i]
         if norms[i] == 0.0:
             wi.fill(0.0)
             continue
-        nrm = np.sqrt(np.add.reduce(wi * wi, axis=1, keepdims=True))
-        np.minimum(low, nrm, out=low)
+        np.sqrt(np.add.reduce(wi * wi, axis=1, keepdims=True), out=nrm[:, i])
         # a degenerate slot is scaled as if its norm were 1e-12, which keeps it finite
-        wi *= norms[i] / np.maximum(nrm, 1e-12)
+        wi *= norms[i] / np.maximum(nrm[:, i], 1e-12)
         if i + 1 < m:
             d = np.add.reduce(w[:, i:] * wi[:, None], axis=2, keepdims=True)
-            if d[:, 0].min() > 0.0:
-                w[:, i + 1 :] -= d[:, 1:] / d[:, :1] * wi[:, None]
-            else:  # a family whose slot i vanished subtracts nothing
-                j = np.flatnonzero(d[:, 0, 0] > 0.0)
-                w[j, i + 1 :] -= d[j, 1:] / d[j, :1] * w[j, i, None]
-    return w.reshape(mats.shape), low[:, 0] > 1e-12
+            live = d[:, :1] > 0.0  # a family whose slot i vanished subtracts nothing
+            coef = np.divide(d[:, 1:], d[:, :1], out=np.zeros_like(d[:, 1:]), where=live)
+            np.subtract(w[:, i + 1 :], coef * wi[:, None], out=w[:, i + 1 :], where=live)
+    return w.reshape(mats.shape), nrm.min(axis=(1, 2)) > 1e-12
 
 
 def _project_gradient(grad: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -331,8 +323,17 @@ def _search_group(
             anchor = value.copy()
         if not rows.size:
             break
-        # one objective_gradients call per restart and step, so its calls count the gradient steps
-        proj = _project_gradient(np.stack([objective_gradients(fam) for fam in mats]), mats)
+        # The state arrays are replaced, not overwritten: proj is new each
+        # step and mats each line-search round, as in a restart run on its
+        # own.  With buffers kept for the whole group, every temporary of a
+        # step sits above them and is freed by its end, so at large n glibc
+        # trims and refaults the heap each step: 1.4x to 2.5x the page faults
+        # of the serial code at n = 128 to 256.
+        proj = np.empty_like(mats)
+        for j, fam in enumerate(mats):
+            # one objective_gradients call per restart and step, so its calls count the gradient steps
+            objective_gradients(fam, out=proj[j])
+        _project_gradient(proj, mats)
         flat = proj.reshape(rows.size, -1)
         gnorm2 = np.einsum("rk,rk->r", flat, flat)
         small = np.sqrt(gnorm2) < GRAD_TOL
@@ -341,16 +342,14 @@ def _search_group(
         search = np.flatnonzero(~small)  # the rows still in the line search
         while search.size:
             s = step[search]
-            # a round of every row, the common first round, gathers and
-            # scatters nothing: at large n those copies cost about 10 %
-            full = search.size == rows.size
-            base, dirn = (mats, proj) if full else (mats[search], proj[search])
-            cand, ok = _retract(base + s[:, None, None, None] * dirn, norms)
+            # s * proj + mats, with the bits of mats + s * proj, built in the gathered copy of proj
+            cand = proj[search]
+            cand *= s[:, None, None, None]
+            cand += mats[search]
+            cand, ok = _retract(cand, norms)
             cand_value = objective_value(cand)
             ok &= cand_value >= value[search] + ARMIJO * s * gnorm2[search]
-            if full and ok.all():
-                mats, value = cand, cand_value
-                break
+            mats = mats.copy()
             mats[search[ok]], value[search[ok]] = cand[ok], cand_value[ok]
             search = search[~ok]
             step[search] *= 0.5
@@ -449,8 +448,9 @@ def extremal_search(
     best_value *= scale * scale
     fam = MatrixFamily(n=n, mats=best_mats)
     bound = lu_bound(fam)
-    if bound - best_value <= 1e-6:
-        # Equality-grade families are logged for inspection, never asserted on.
+    if bound - best_value <= 1e-6 and log.isEnabledFor(logging.INFO):
+        # Equality-grade families are logged for inspection, never asserted on;
+        # the text of a large family is costly, so it is built only when INFO is on.
         log.info(
             "extremal family within %.3e of the bound %.17g:\n%s",
             bound - best_value, bound, family_to_text(fam),

@@ -396,7 +396,7 @@ def test_retract_bit_identical_to_reference():
             raw *= 10.0 ** rng.uniform(-14.0, -10.0)
         ref = _reference_retract(raw, norms)
         # alone, and in a stack beside a zero family, whose vanished slots
-        # take the stack off its unmasked path
+        # subtract nothing
         for stack in (raw[None], np.stack([raw, np.zeros_like(raw)])):
             new, ok = lu._retract(stack, norms)
             assert new.shape == stack.shape and ok.shape == (len(stack),), trial
