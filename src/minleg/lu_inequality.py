@@ -126,6 +126,16 @@ def _bound(norms2: np.ndarray) -> float:
     return float(norms2[1:2].sum() + norms2[1:].sum())
 
 
+def _lhs(a1: np.ndarray, tail: Sequence[np.ndarray]) -> float:
+    """sum_{a>=2} ||[A_1, A_a]||^2, summed in index order; inf when it overflows."""
+    lhs = 0.0
+    with np.errstate(over="ignore"):
+        for a in tail:
+            c = commutator(a1, a)
+            lhs += frobenius_inner(c, c)
+    return lhs
+
+
 def lu_bound(fam: MatrixFamily) -> float:
     """Right-hand side ||A_2||^2 + sum_{a>=2} ||A_a||^2 (zero for m = 1)."""
     return _bound(np.einsum("aij,aij->a", fam.mats, fam.mats))
@@ -139,12 +149,7 @@ def lu_check(fam: MatrixFamily) -> LuReport:
     cannot (MatrixFamily checks it), and the lhs is a sum of non-negative
     terms, so it overflows only when its rounded total does.
     """
-    a1 = fam.mats[0]
-    lhs = 0.0
-    with np.errstate(over="ignore"):
-        for a in fam.mats[1:]:
-            c = commutator(a1, a)
-            lhs += frobenius_inner(c, c)
+    lhs = _lhs(fam.mats[0], fam.mats[1:])
     if not math.isfinite(lhs):
         raise NumericalFailure("lhs sum ||[A_1, A_a]||^2 exceeds the largest double")
     rhs = lu_bound(fam)
@@ -168,6 +173,13 @@ def canonical_extremal(n: int, k: int, mu: float = 1.0) -> MatrixFamily:
     if not (math.isfinite(mu) and math.isfinite(bound)):
         raise ValueError(f"mu={mu!r} must be finite, with squared norms 2 mu^2 and their bound finite")
     lam = 1.0 / math.sqrt(k * (k + 1.0))
+    # Each [A_1, A_a], a = 2..k+1, has the two nonzero entries of its 2 x 2
+    # block on rows and columns {1, a}, the same for every a, and the zero
+    # tail adds exact zeros; so k copies of the block give the lhs that
+    # lu_check sums, with the same rounding.
+    lhs = _lhs(np.diag(lam * np.array([k, -1.0])), [np.array([[0.0, mu], [mu, 0.0]])] * k)
+    if not math.isfinite(lhs):
+        raise ValueError(f"mu={mu!r} is too large: the lhs sum ||[A_1, A_a]||^2 exceeds the largest double")
     mats = np.zeros((n, n, n))
     diag = np.zeros(n)
     diag[0] = k
@@ -304,6 +316,7 @@ def _search_group(
     rows = np.arange(count)  # the restart of each active row
     anchor = value.copy()
     step = np.full(count, STEP0)
+    grads = np.empty_like(mats)  # its leading rows hold the gradients of the active rows
     results = [None] * count
 
     def retire(mask, reason, taken):
@@ -323,13 +336,7 @@ def _search_group(
             anchor = value.copy()
         if not rows.size:
             break
-        # The state arrays are replaced, not overwritten: proj is new each
-        # step and mats each line-search round, as in a restart run on its
-        # own.  With buffers kept for the whole group, every temporary of a
-        # step sits above them and is freed by its end, so at large n glibc
-        # trims and refaults the heap each step: 1.4x to 2.5x the page faults
-        # of the serial code at n = 128 to 256.
-        proj = np.empty_like(mats)
+        proj = grads[: rows.size]
         for j, fam in enumerate(mats):
             # one objective_gradients call per restart and step, so its calls count the gradient steps
             objective_gradients(fam, out=proj[j])
@@ -349,7 +356,6 @@ def _search_group(
             cand, ok = _retract(cand, norms)
             cand_value = objective_value(cand)
             ok &= cand_value >= value[search] + ARMIJO * s * gnorm2[search]
-            mats = mats.copy()
             mats[search[ok]], value[search[ok]] = cand[ok], cand_value[ok]
             search = search[~ok]
             step[search] *= 0.5

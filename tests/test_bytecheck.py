@@ -28,4 +28,4 @@ def test_bytecheck_manifest_lines():
     assert (rc, err, files, argv) == ("0", empty, fam, roster[0])
     assert (rc2, err2, files2, argv2) == ("0", empty, "-", roster[1])
     assert len(out) == len(out2) == 64 and out != out2
-    assert len(bytecheck.ROSTER) == 53
+    assert len(bytecheck.ROSTER) == 54

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ import pytest
 from minleg import MinlegError, NumericalFailure, cli
 from minleg.cli import main
 from minleg.geometry import DegeneratePointError, NonPSDError
-from minleg.lu_inequality import (MAX_DIM, FamilyValidationError, canonical_extremal, load_family,
-                                  lu_check)
+from minleg.lu_inequality import (MAX_DIM, FamilyValidationError, MatrixFamily, canonical_extremal,
+                                  load_family, lu_check)
 from minleg.symmat import JacobiConvergenceError
 from minleg.verify import ScanResult
 from minleg.zoo import UnknownExampleError
@@ -414,15 +415,40 @@ def test_lu_extremal_mu_just_below_overflow():
         canonical_extremal(3, 1, 6.8e153)
 
 
+def test_lu_extremal_accepts_exactly_the_mu_whose_lhs_fits():
+    # at the largest mu that canonical_extremal accepts, lu_check's lhs is
+    # finite; one ulp above it, the same family built by hand is refused
+    # by MatrixFamily (its bound) or by lu_check (its lhs)
+    for n, k in ((2, 1), (3, 1), (3, 2), (5, 3), (12, 9), (12, 11)):
+        lo, hi = 1.0, 1e160
+        while True:
+            mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else lo + (hi - lo) / 2
+            if mid in (lo, hi):
+                break
+            try:
+                canonical_extremal(n, k, mid)
+                lo = mid
+            except ValueError:
+                hi = mid
+        assert hi == np.nextafter(lo, math.inf)
+        mats = canonical_extremal(n, k, lo).mats.copy()
+        assert math.isfinite(lu_check(MatrixFamily(n=n, mats=mats)).lhs)
+        for a in range(1, k + 1):
+            mats[a, 0, a] = mats[a, a, 0] = hi
+        with pytest.raises((FamilyValidationError, NumericalFailure)):
+            lu_check(MatrixFamily(n=n, mats=mats))
+
+
 def _not_json(name):
     raise ValueError(f"{name} is not JSON")
 
 
 @pytest.mark.parametrize("n, k, mu, code", [
-    # the largest accepted mu at (3, 2) and at (12, 11): the bound fits a
-    # double, but the lhs rounds to 2^1024, a numerical failure
-    (3, 2, "5.4737146662668906e+153", 3),
-    (12, 11, "2.7368573331334453e+153", 3),
+    # the bound fits a double at these mu, but the lhs rounds to 2^1024 or
+    # above, so canonical_extremal refuses them as a usage error
+    (3, 2, "5.4737146662668906e+153", 2),
+    (12, 9, "2.9980769960612384e+153", 2),
+    (12, 11, "2.7368573331334453e+153", 2),
     # just below them the lhs fits; (3, 2) misses the absolute EQUALITY_TOL
     (3, 2, "5.473714666266885e+153", 1),
     (12, 11, "2.736857333133445e+153", 0),
@@ -432,9 +458,9 @@ def test_lu_extremal_lhs_at_the_largest_double(tmp_path, capsys, recwarn, n, k, 
     rc = main(["lu", "extremal", "--n", str(n), "--k", str(k), "--mu", mu, "--out", str(out)])
     captured = capsys.readouterr()
     assert rc == code
-    if code == 3:
+    if code == 2:
         assert captured.out == "" and not out.exists()
-        assert captured.err.startswith("error: numerical failure: lhs ") and captured.err.count("\n") == 1
+        assert captured.err == f"error: mu={float(mu)!r} is too large: the lhs sum ||[A_1, A_a]||^2 exceeds the largest double\n"
     else:
         # a strict parse: Infinity, -Infinity and NaN are refused
         doc = json.loads(captured.out, parse_constant=_not_json)
