@@ -3,8 +3,8 @@
 An :class:`ImmersionChart` is a parametrized map F from an n-dimensional
 coordinate box into the unit sphere of C^{n+1} (realified to R^{2n+2}),
 carrying analytic first and second partials via the jet layer.  At a chart
-point the engine builds an orthonormal tangent frame, extracts the cubic
-form
+point the engine builds an orthonormal tangent frame from the Cholesky
+factor of the induced metric, extracts the cubic form
 
     sigma_ijk = <d2F(e_i, e_j), J e_k>,
 
@@ -176,28 +176,25 @@ def induced_metric(u, jac) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _frame_from(u, f, jac) -> PointFrame:
-    """Gram-Schmidt frame over the coordinate tangents, in coordinate order."""
-    n = jac.shape[-1]
-    v = _t(jac)
-    e = np.zeros_like(v)
-    coeff = np.zeros(v.shape[:-1] + (n,))
-    for i in range(n):
-        w = v[..., i, :].copy()
-        c = np.zeros(coeff.shape[:-1])
-        c[..., i] = 1.0
-        for _ in range(2):  # one reorthogonalization pass keeps <e_i,e_j> ~ 1e-15
-            for j in range(i):
-                r = (w * e[..., j, :]).sum(axis=-1, keepdims=True)
-                w -= r * e[..., j, :]
-                c -= r * coeff[..., j, :]
-        nrm = np.linalg.norm(w, axis=-1)
-        bad = nrm <= DEGENERACY_TOL * (1.0 + np.linalg.norm(v[..., i, :], axis=-1))
-        if np.any(bad):
-            raise DegeneratePointError(f"coordinate tangents degenerate at u = {u[bad][0].tolist()}")
-        e[..., i, :] = w / nrm[..., None]
-        coeff[..., i, :] = c / nrm[..., None]
+    """Frame from the Cholesky factor of the metric, G = L L^T: a = L^-1, e = a dF^T.
+
+    a is lower triangular with a positive diagonal, so e is the Gram-Schmidt frame and
+    L_ii the length of tangent i off the span of those before it.  e e^T - I grows as
+    the unit roundoff times cond(D^-1 G D^-1), D = diag(G)^1/2; over the zoo's sample
+    and grid points it stays at 1e-15 or less.
+    """
     metric, vol = induced_metric(u, jac)
-    return PointFrame(F=f, e=e, a=coeff, metric=metric, vol=vol)
+    try:
+        chol = np.linalg.cholesky(metric)
+    except np.linalg.LinAlgError:  # det G > 0, yet G is not positive definite in floating point
+        worst = u.reshape(-1, u.shape[-1])[np.argmin(np.linalg.eigvalsh(metric)[..., 0])]
+        raise DegeneratePointError(f"metric not positive definite at u = {worst.tolist()}") from None
+    lengths, norms = np.einsum("...ii->...i", chol), np.sqrt(np.einsum("...ii->...i", metric))
+    bad = np.any(lengths <= DEGENERACY_TOL * (1.0 + norms), axis=-1)
+    if np.any(bad):
+        raise DegeneratePointError(f"coordinate tangents degenerate at u = {u[bad][0].tolist()}")
+    a = np.linalg.inv(chol)
+    return PointFrame(F=f, e=a @ _t(jac), a=a, metric=metric, vol=vol)
 
 
 def _sigma_from(frame: PointFrame, hess: np.ndarray) -> np.ndarray:

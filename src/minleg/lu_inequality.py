@@ -96,8 +96,9 @@ def normalize_family(raw: Sequence[np.ndarray]) -> MatrixFamily:
     """Scale the whole family by 1/||A_1||, sort A_2.. by descending norm.
 
     Both sides of the inequality scale by ||A_1||^-2, so the rescaled family
-    is equivalent to the input.  MatrixFamily then validates it: a violation
-    of orthogonality raises, it is never silently repaired.
+    is equivalent to the input; an A_1 of unit norm to 4 ulps is not rescaled.
+    MatrixFamily then validates it: orthogonality violations raise, never
+    silently repaired.
     """
     mats = [symmetrize(a) for a in raw]
     if not mats:
@@ -105,19 +106,19 @@ def normalize_family(raw: Sequence[np.ndarray]) -> MatrixFamily:
     n = mats[0].shape[0]
     if any(a.shape != (n, n) for a in mats):
         raise FamilyValidationError("all matrices must share one dimension")
-    # Dividing first by 2^e, with e the binary exponent of max |A_1|, is exact
-    # and puts ||A_1|| in [1/2, n], so its square cannot overflow.  A tail that
-    # overflows is left to MatrixFamily to reject, without a warning.
-    _, e = np.frexp(np.max(np.abs(mats[0])))
+    # A_1 within a few ulps of unit norm is kept, as dividing by such a norm
+    # only rounds the tail again.  Dividing by 2^e first, e the binary
+    # exponent of max |A_1|, is exact and keeps ||A_1||^2 finite.
     with np.errstate(over="ignore"):
-        stack = np.ldexp(np.stack(mats), -e)
-        lead_norm = frobenius_norm(stack[0])
-        if lead_norm == 0.0:
-            raise FamilyValidationError("A_1 must be nonzero")
-        stack = stack / lead_norm
-        rest = stack[1:]
-        order = np.argsort(-np.sqrt(np.einsum("aij,aij->a", rest, rest)), kind="stable")
-    stack = np.concatenate([stack[:1], rest[order]], axis=0)
+        stack = np.stack(mats)
+        if abs(np.sqrt(np.einsum("aij,aij->a", stack, stack)[0]) - 1.0) > 4.0 * np.finfo(float).eps:
+            _, e = np.frexp(np.max(np.abs(stack[0])))
+            lead_norm = frobenius_norm(np.ldexp(stack[0], -e))
+            if lead_norm == 0.0:
+                raise FamilyValidationError("A_1 must be nonzero")
+            stack = np.ldexp(stack, -e) / lead_norm
+        order = np.argsort(-np.sqrt(np.einsum("aij,aij->a", stack[1:], stack[1:])), kind="stable")
+    stack[1:] = stack[1:][order]
     return MatrixFamily(n=n, mats=stack)
 
 

@@ -470,6 +470,40 @@ def test_lu_extremal_lhs_at_the_largest_double(tmp_path, capsys, recwarn, n, k, 
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_lu_check_reads_an_extremal_file_as_written(tmp_path, capsys):
+    # a unit A_1 is not rescaled on load, so the check sums the same lhs as
+    # lu extremal did, one step below the largest double.  lu extremal exits 1
+    # (the slack misses the absolute EQUALITY_TOL); lu check exits 0, as the
+    # inequality holds.
+    out = tmp_path / "family.json"
+    rc = main(["lu", "extremal", "--n", "12", "--k", "9", "--mu", "2.998076996061238e+153", "--out", str(out)])
+    written = capsys.readouterr()
+    assert rc == 1 and written.err == ""
+    assert json.loads(written.out)["slack"] > 0.0
+    assert main(["lu", "check", "--file", str(out)]) == 0
+    assert capsys.readouterr() == written
+
+
+
+def _rounded(x, digits):
+    if isinstance(x, list):
+        return [_rounded(v, digits) for v in x]
+    return float(f"{x:.{digits}g}")
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 1), (4, 2)])
+def test_lu_check_rescales_a_rounded_extremal_file(tmp_path, capsys, n, k):
+    # rounded to 10 digits, ||A_1|| is off 1 by ~1e-11: far more than a few
+    # ulps, so the load rescales, and the equality case still reads as one
+    out = tmp_path / "family.json"
+    assert main(["lu", "extremal", "--n", str(n), "--k", str(k), "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    out.write_text(json.dumps({**doc, "mats": _rounded(doc["mats"], 10)}))
+    assert main(["lu", "check", "--file", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["is_equality"] is True
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--example", "calabi", "--n", "2", "--grid", "2", "--seed", "-1"],
     ["verify", "--example", "calabi", "--n", "2", "--grid", "2", "--seed", "-8"],

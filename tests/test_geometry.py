@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
-from minleg import jets, zoo
+from minleg import cli, geometry, jets, zoo
 from minleg.geometry import (
+    DEGENERACY_TOL,
     DegeneratePointError,
     ImmersionChart,
     Interval,
     NonPSDError,
+    PointFrame,
+    _sigma_from,
     apply_J,
     derivative_cross_check,
+    evaluate_points,
     fundamental_matrix,
     gauss_rank,
     induced_metric,
@@ -100,6 +104,99 @@ def test_frame_degenerate_pole():
     chart = zoo.geodesic_sphere(3).chart
     with pytest.raises(DegeneratePointError):
         point_data(chart, np.array([0.0, 1.0, 1.0]))
+
+
+def _t(x):
+    return x.swapaxes(-1, -2)
+
+
+def _gram_schmidt_frame(u, f, jac) -> PointFrame:
+    """Gram-Schmidt frame over the coordinate tangents, in coordinate order."""
+    n = jac.shape[-1]
+    v = _t(jac)
+    e = np.zeros_like(v)
+    coeff = np.zeros(v.shape[:-1] + (n,))
+    for i in range(n):
+        w = v[..., i, :].copy()
+        c = np.zeros(coeff.shape[:-1])
+        c[..., i] = 1.0
+        for _ in range(2):  # one reorthogonalization pass keeps <e_i,e_j> ~ 1e-15
+            for j in range(i):
+                r = (w * e[..., j, :]).sum(axis=-1, keepdims=True)
+                w -= r * e[..., j, :]
+                c -= r * coeff[..., j, :]
+        nrm = np.linalg.norm(w, axis=-1)
+        bad = nrm <= DEGENERACY_TOL * (1.0 + np.linalg.norm(v[..., i, :], axis=-1))
+        if np.any(bad):
+            raise DegeneratePointError(f"coordinate tangents degenerate at u = {u[bad][0].tolist()}")
+        e[..., i, :] = w / nrm[..., None]
+        coeff[..., i, :] = c / nrm[..., None]
+    metric, vol = induced_metric(u, jac)
+    return PointFrame(F=f, e=e, a=coeff, metric=metric, vol=vol)
+
+
+def test_frame_matches_gram_schmidt():
+    # Worst gaps measured over these 4000 points: a dF^T - e 0, |e e^T - I|
+    # 1.0e-15, e 4.4e-16, lambda 1.2e-14, sigma 8.3e-15 relative to max |sigma|.
+    # calabi n=13 has its own bounds: at its near-pole points, where |a|
+    # reaches 3e4, the sigma gap is 8.3e-13 and the lambda gap 2.1e-14.
+    entries = zoo.default_entries() + [zoo.calabi_torus(8), zoo.calabi_torus(13),
+                                       zoo.geodesic_sphere(8), zoo.geodesic_sphere(13)]
+    for entry in entries:
+        sigma_tol, lambda_tol = (5e-12, 2e-13) if entry.name == "calabi-n13" else (1e-13, 1e-13)
+        chart = entry.chart
+        u = np.concatenate([sample_points(chart, 20, seed) for seed in range(20)])
+        pd = point_data(chart, u)
+        u, f, jac, hess = evaluate_points(chart, u)
+        ref = _gram_schmidt_frame(u, f, jac)
+        ref_sigma = _sigma_from(ref, hess)
+        ref_lambdas = spectrum_of(fundamental_matrix(ref_sigma)).lambdas
+        fr = pd.frame
+        assert np.max(np.abs(fr.a @ _t(jac) - fr.e)) <= 1e-14, entry.name
+        assert np.max(np.abs(fr.e @ _t(fr.e) - np.eye(chart.dim))) <= 1e-14, entry.name
+        assert np.max(np.abs(fr.e - ref.e)) <= 5e-15, entry.name
+        assert np.max(np.abs(pd.spectrum.lambdas - ref_lambdas)) <= lambda_tol, entry.name
+        assert np.max(np.abs(pd.sigma - ref_sigma)) <= sigma_tol * np.max(np.abs(ref_sigma)), entry.name
+
+
+def _sheared_chart(eps):
+    """F = (u1 + u2, eps u2, 1): at every point dF_2 = dF_1 + eps (0, 0, 1, 0, 0, 0),
+    so tangent 2 has length eps off the span of tangent 1, and |dF_2| ~ 1."""
+    return ImmersionChart("sheared", 2, (Interval(-1.0, 1.0), Interval(-1.0, 1.0)),
+                          lambda u: (u[0] + u[1], eps * u[1], 0.0 * u[0] + 1.0))
+
+
+def test_frame_degeneracy_threshold():
+    # the rule: degenerate when L_22 ~ eps <= DEGENERACY_TOL (1 + |dF_2|) ~ 2e-8.
+    # At eps = 1.5e-8, G_22 = 1 + eps^2 rounds to 1 + 2^-52, so det G > 0 and
+    # the metric check passes; L_22 = 2^-26 ~ 1.49e-8 trips the rule.
+    u = np.array([[0.0, 0.0], [0.3, -0.2]])
+    assert 1.5e-8 <= DEGENERACY_TOL * (1.0 + 1.0)
+    with pytest.raises(DegeneratePointError, match="coordinate tangents degenerate"):
+        point_data(_sheared_chart(1.5e-8), u)
+    # well above it the point passes; one Cholesky pass leaves e e^T - I near
+    # 1e-16 / eps^2 here, as cond(G) ~ 4 / eps^2
+    for eps in (1e-6, 1e-4):
+        fr = point_data(_sheared_chart(eps), u).frame
+        assert np.max(np.abs(fr.e @ _t(fr.e) - np.eye(2))) <= 1e-15 / eps**2
+
+
+def _indefinite_metric(u, jac):
+    """diag(-1, -1, 1) at every point: det G = 1 > 0, yet G is not positive definite."""
+    batch = jac.shape[:-2]
+    return np.broadcast_to(np.diag([-1.0, -1.0, 1.0]), batch + (3, 3)).copy(), np.ones(batch)
+
+
+def test_frame_indefinite_metric(monkeypatch, capsys):
+    monkeypatch.setattr(geometry, "induced_metric", _indefinite_metric)
+    chart = zoo.calabi_torus(3).chart
+    with pytest.raises(DegeneratePointError, match="metric not positive definite"):
+        point_data(chart, _points(chart, 4, seed=1))
+    assert cli.main(["scan", "--example", "calabi", "--n", "3", "--grid", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: numerical failure: metric not positive definite at u = ")
+    assert captured.err.count("\n") == 1
 
 
 # ---- sigma ----------------------------------------------------------------------

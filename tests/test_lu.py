@@ -105,6 +105,15 @@ def test_normalize_family_keeps_valid_input():
     assert np.allclose(fam0.mats, fam1.mats, atol=1e-15)
 
 
+def test_normalize_family_keeps_unit_families_as_written():
+    # dividing by ||A_1|| = 0.9999999999999999 rounds the tail again, and at the
+    # largest mu that lu extremal accepts for (12, 9) pushes the lhs past the largest double
+    cases = [(n, k, mu) for n in range(2, 13) for k in range(1, n) for mu in (1e-3, 0.7, 1.0, 100.0, 1e6)]
+    for n, k, mu in cases + [(12, 9, 2.998076996061238e+153)]:
+        fam = canonical_extremal(n, k, mu)
+        assert lu_check(normalize_family(list(fam.mats))) == lu_check(fam), (n, k, mu)
+
+
 def test_normalize_family_rejects_overlap():
     a1 = np.diag([1.0, 0.0])
     a2 = np.diag([0.5, 0.5])  # <a1, a2> = 0.5
