@@ -35,8 +35,9 @@ for entry in default_entries():
               f"   (registry says {entry.pinch:g})")
     print()
 
-# the pinching quantity separates the roster into the two flat families
-# sitting exactly at n + 1 and the strict cases away from it
+# the pinching quantity separates the roster into the Calabi family (minimal
+# Legendrian S^1 x S^(n-1), flat only at n = 2) and the flat torus congruent
+# to its n = 2 member, sitting exactly at n + 1, and the cases away from it
 print("roster summary:")
 for entry in default_entries():
     n = entry.chart.dim

@@ -46,6 +46,6 @@ print(f"two timing-free runs byte-identical: {a == b}")
 
 # a tightened tolerance shows up as a failed check, never an exception
 strict = verify_chart(entry, grid=GridSpec(points_per_dim=6),
-                      tolerances=Tolerances(curvature=1e-15))
+                      tolerances=Tolerances(geometry=2e-15))
 failing = [c.name for c in strict.checks if not c.passed]
-print(f"with curvature tolerance 1e-15 the failing checks are: {failing}")
+print(f"with geometry tolerance 2e-15 the failing checks are: {failing}")

@@ -3,11 +3,18 @@
 
 The geometry engine differentiates charts with forward-mode jets, so its
 sigma-tensor route to scalar curvature R = n(n-1) - |B|^2 is analytic.  The
-oracle route below never touches sigma: it builds Christoffel symbols from
-the induced metric and its jet-exact first derivatives, central-differences
-them, and contracts.  Agreement of the two is
-the Gauss-equation consistency check; disagreement would mean the jet
-arithmetic, the frame construction, or the eigensolver is wrong.
+oracle route below never touches sigma, J or the tangent frame: it takes the
+part h of d2F normal to the tangent space in R^(2n+2), with G from the
+induced metric, and applies the Gauss formula R = |H|^2 - |h|^2.  Both
+routes are exact up to rounding.  Agreement of the two is the Gauss-equation
+consistency check; disagreement would mean the frame construction, the
+complex structure or the eigensolver is wrong, or that d2F has a wrong
+component along F or JF, which sigma does not see.
+
+What the metric route no longer does: being exact at the point, it does not
+compare d2F against differences of dF at nearby points, so a d2F that is
+wrong yet consistent in both routes passes it.  The Richardson cross-check
+further down is the check on the jets themselves.
 """
 
 import numpy as np

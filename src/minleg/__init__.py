@@ -42,7 +42,6 @@ from .geometry import (
     fundamental_matrix,
     gauss_rank,
     legendrian_residual,
-    metric_derivative,
     minimality_residual,
     point_data,
     scalar_curvature_intrinsic,

@@ -94,7 +94,7 @@ def _cmd_zoo_list(args) -> int:
 
 def _cmd_verify(args) -> int:
     entry, grid = _example(args)
-    tol = Tolerances(geometry=args.tol_geom, algebra=args.tol_alg, curvature=args.tol_curv)
+    tol = Tolerances(geometry=args.tol_geom, algebra=args.tol_alg)
     report = verify_chart(entry, grid=grid, tolerances=tol)
     _write(report.to_text(include_timing=not args.no_timing), args.out)
     return 0 if report.passed else VERIFY_FAIL
@@ -197,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="analytic-derivative geometry tolerance class")
     verify.add_argument("--tol-alg", type=float, default=Tolerances.algebra,
                         help="closed-form algebra tolerance class")
-    verify.add_argument("--tol-curv", type=float, default=Tolerances.curvature,
-                        help="curvature-oracle tolerance class")
     verify.add_argument("--out", default=None, help="write the report to this file")
     verify.add_argument("--no-timing", action="store_true",
                         help="omit wall_time so identical runs are byte-identical")

@@ -22,9 +22,9 @@ Complex structure convention: coordinate pairs (x_{2k-1}, x_{2k}) realify
 z_k = x_{2k-1} + i x_{2k}, and J(x_{2k-1}, x_{2k}) = (-x_{2k}, x_{2k-1}).
 
 An independent scalar-curvature route serves as the oracle for the
-Gauss-equation relation R = n(n-1) - |B|^2.  It uses the induced metric
-alone, no sigma anywhere: Christoffel symbols exact from G and the jet-exact
-dG, and their derivatives by central differences.
+Gauss-equation relation R = n(n-1) - |B|^2.  It uses the induced metric and
+the jets alone, no sigma anywhere: R = |H|^2 - |h|^2 from the part h of d2F
+normal to the tangent space in R^(2n+2), exact up to rounding.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ from .symmat import sym_eigen
 
 PSD_TOL = 1e-10
 DEGENERACY_TOL = 1e-8
-# Central-difference step of the curvature oracle's Christoffel derivatives.
-# A scan over the zoo put the smallest worst-case Gauss gap between 5e-7 and
-# 2e-6; below that, rounding grows as 1/step.
-CURVATURE_STEP = 2e-6
 CROSS_CHECK_STEP = 1e-3
 GAUSS_RANK_TOL = 1e-8
 
@@ -328,49 +324,36 @@ def point_data(chart: ImmersionChart, u) -> PointData:
 # ---- intrinsic curvature oracle --------------------------------------------
 
 
-def metric_derivative(jac: np.ndarray, hess: np.ndarray) -> np.ndarray:
-    """dG[..., l, s, t] = d_l G_st = <d2F_ls, dF_t> + <dF_s, d2F_lt>, exact from the jets.
-
-    jac has shape B + (2n+2, n) and hess B + (2n+2, n, n).
-    """
-    n = jac.shape[-1]
-    batch = jac.shape[:-2]
-    # a[..., l, s, t] = <d2F_ls, dF_t>
-    a = (_t(hess.reshape(batch + (-1, n * n))) @ jac).reshape(batch + (n, n, n))
-    return a + a.swapaxes(-1, -2)
-
-
 def scalar_curvature_intrinsic(chart: ImmersionChart, u) -> float | np.ndarray:
-    """Scalar curvature from the induced metric alone.
+    """Scalar curvature from the induced metric and the jets alone, exact.
 
-    G and its first derivatives dG come exact from the jets, so the
-    Christoffel symbols are exact; only their derivatives are central
-    differences with step CURVATURE_STEP, O(step^2) in truncation.  The route
-    never touches sigma or the complex structure; it is the independent oracle
-    for the Gauss-equation relation R = n(n-1) - |B|^2.  u of shape (n,) gives a
-    float; a stack of shape (N, n) gives shape (N,), with the 2n+1 stencil
-    points of every sample in one batched jet evaluation.
+    By the Gauss formula for M in R^(2n+2), with h_ab the part of d2F_ab
+    normal to the tangent space and H = G^ab h_ab,
+
+        R = |H|^2 - G^ac G^bd <h_ab, h_cd>.
+
+    The third derivatives that differentiating the Christoffel symbols would
+    bring in cancel (Theorema Egregium), so dF and d2F at the point itself
+    suffice: no step, no truncation, only the rounding of the jets.  G comes
+    from induced_metric; the route never touches sigma, the complex structure
+    or the tangent frame, so it is the independent oracle for the
+    Gauss-equation relation R = n(n-1) - |B|^2, and it sees a wrong component
+    of d2F along F or JF, which sigma misses.  Being exact, it no longer compares
+    d2F against differences of dF at nearby points; derivative_cross_check
+    does that.  u of shape (n,) gives a float; a stack of shape (N, n) gives
+    shape (N,), from one batched jet evaluation.
     """
     u = np.asarray(u, dtype=float)
-    n = chart.dim
-    h = CURVATURE_STEP * np.eye(n)
-    # per sample: the centre, then u + h e_m and u - h e_m for each m
-    stencil = np.concatenate([u[..., None, :], u[..., None, :] + h, u[..., None, :] - h], axis=-2)
-    _, jac, hess = chart.jet_eval(stencil)
-    metric, _ = induced_metric(stencil, jac)
-    ginvs = np.linalg.inv(metric)
-    dg = metric_derivative(jac, hess)
-    # Gamma^k_st = G^kl (d_s G_lt + d_t G_ls - d_l G_st) / 2
-    lowered = 0.5 * (np.einsum("...slt->...lst", dg) + np.einsum("...tls->...lst", dg) - dg)
-    gammas = np.einsum("...kl,...lst->...kst", ginvs, lowered)
-    ginv, gamma = ginvs[..., 0, :, :], gammas[..., 0, :, :, :]
-    # dgamma[..., m, k, s, t] = d_m Gamma^k_st
-    dgamma = (gammas[..., 1:n + 1, :, :, :] - gammas[..., n + 1:, :, :, :]) / (2.0 * CURVATURE_STEP)
-    term1 = np.einsum("...sskt,...kt->...", dgamma, ginv)
-    term2 = np.einsum("...tsks,...kt->...", dgamma, ginv)
-    term3 = np.einsum("...ssl,...lkt,...kt->...", gamma, gamma, ginv)
-    term4 = np.einsum("...stl,...lks,...kt->...", gamma, gamma, ginv)
-    r = term1 - term2 + term3 - term4
+    _, jac, hess = chart.jet_eval(u)
+    metric, _ = induced_metric(u, jac)
+    ginv = np.linalg.inv(metric)
+    batch, n = jac.shape[:-2], jac.shape[-1]
+    flat = hess.reshape(batch + (-1, n * n))
+    # h = d2F - dF G^-1 (dF^T d2F), the normal part of d2F in R^(2n+2)
+    h = (flat - jac @ (ginv @ (_t(jac) @ flat))).reshape(hess.shape)
+    mean = np.einsum("...ab,...xab->...x", ginv, h)
+    raised = ginv[..., None, :, :] @ h @ ginv[..., None, :, :]
+    r = np.sum(mean * mean, axis=-1) - np.sum(h * raised, axis=(-3, -2, -1))
     return float(r) if r.ndim == 0 else r
 
 

@@ -57,11 +57,13 @@ GRID_CAP = 10_000
 
 @dataclass(frozen=True)
 class Tolerances:
-    """The tolerance ladder; one knob per error class, never per check."""
+    """The tolerance ladder; one knob per error class, never per check.
+
+    geometry also judges the curvature oracle, which is exact from the jets
+    like every other analytic-derivative check."""
 
     algebra: float = 1e-10       # closed-form linear algebra
-    geometry: float = 1e-9       # analytic-derivative geometry on grids
-    curvature: float = 1e-4      # curvature oracle (exact metric, differenced Christoffels)
+    geometry: float = 1e-9       # analytic-derivative geometry: grids and curvature oracle
     quadrature: float = 1e-6     # grid-dependent integral residuals
 
     def __post_init__(self):
@@ -103,8 +105,6 @@ class GridSpec:
     def echo(self, dim: int) -> dict:
         return {
             "points_per_dim": list(self.resolve(dim)),
-            "offset": True,
-            "jitter": False,
             "seed": self.seed,
             "cap": GRID_CAP,
         }
@@ -330,7 +330,7 @@ def verify_chart(
         add("simons", simons_residual(pd.sigma[-1]), expected.simons_tol, hard=expected.simons_hard)
 
     r_intrinsic = scalar_curvature_intrinsic(chart, spts)
-    add("scalar_curvature", np.max(np.abs(r_intrinsic - r_gauss)), tolerances.curvature)
+    add("scalar_curvature", np.max(np.abs(r_intrinsic - r_gauss)), tolerances.geometry)
 
     integrals = {}
     if chart.closed:

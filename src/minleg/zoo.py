@@ -8,8 +8,9 @@ per value: "literature" for numbers stated in the published literature,
 frozen values of an independent numerical oracle.
 
 * geodesic sphere: the totally geodesic S^n of real points, sigma == 0.
-* Calabi torus: flat minimal Legendrian n-torus built from a closed planar
-  curve times a round (n-1)-sphere; fundamental spectrum (n-1, 2/n, ..., 2/n).
+* Calabi torus: minimal Legendrian S^1 x S^(n-1), flat only at n = 2, built
+  from a closed planar curve times a round (n-1)-sphere; fundamental spectrum
+  (n-1, 2/n, ..., 2/n) and scalar curvature (n-1)(n-2)(n+1)/n.
 * equivariant S^3: the degree-3 equivariant minimal Legendrian S^3 in S^7
   with |B|^2 = 16/3, spectrum (8/3, 8/3, 0), Gauss rank 2.
 * flat Legendrian torus: the Clifford-style n=2 torus with |B|^2 = 2.
@@ -91,7 +92,8 @@ def geodesic_sphere(n: int = 3) -> ZooEntry:
 
 
 def calabi_torus(n: int = 3) -> ZooEntry:
-    """Flat minimal Legendrian n-torus: gamma(t) times a round (n-1)-sphere.
+    """Minimal Legendrian S^1 x S^(n-1), flat only at n = 2: gamma(t) times a
+    round (n-1)-sphere.
 
     F(x, t) = (gamma_1(t) phi(x), gamma_2(t)) with
     gamma_1 = sqrt(n/(n+1)) e^{i t / sqrt(n)}, gamma_2 = sqrt(1/(n+1)) e^{-i sqrt(n) t},

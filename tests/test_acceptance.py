@@ -115,7 +115,7 @@ def test_criterion_07_gauss_oracle():
         gap = np.abs(scalar_curvature_intrinsic(chart, pts)
                      - (n * (n - 1.0) - point_data(chart, pts).spectrum.normB2))
         worst = max(worst, float(np.max(gap)))
-    _verdict(7, worst <= 1e-5, f"max |R_metric - (n(n-1) - |B|^2)| = {worst:.2e}")
+    _verdict(7, worst <= 1e-13, f"max |R_metric - (n(n-1) - |B|^2)| = {worst:.2e}")
 
 
 def test_criterion_08_integral_obstruction():

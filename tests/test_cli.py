@@ -63,16 +63,38 @@ def test_verify_out_file(tmp_path, capsys):
 
 
 def test_verify_tolerance_failure_exit(capsys):
-    # a curved entry: the flat torus oracle gap is itself near 1e-15
+    # the curvature oracle's gap on calabi n=3 is 4.4e-15, above 1e-15
     code = main(["verify", "--example", "calabi", "--n", "3", "--grid", "5",
-                 "--tol-curv", "1e-15", "--no-timing"])
+                 "--tol-geom", "1e-15", "--no-timing"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 1
     assert doc["pass"] is False
 
 
+@pytest.mark.parametrize("argv", [
+    ["--example", "geodesic-sphere", "--n", "13", "--grid", "2", "--seed", "5"],
+    ["--example", "geodesic-sphere", "--n", "13", "--grid", "2", "--seed", "8"],
+    ["--example", "calabi", "--n", "8", "--grid", "3", "--seed", "14"],
+])
+def test_verify_passes_at_large_n(capsys, argv):
+    # a differenced curvature oracle failed these correct charts, at up to 0.16
+    code = main(["verify", *argv, "--no-timing"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["pass"] is True
+    check, = (c for c in doc["checks"] if c["name"] == "scalar_curvature")
+    assert check["max_residual"] <= 1e-12
+
+
+def test_verify_has_no_curvature_tolerance_flag(capsys):
+    # the curvature oracle is judged by --tol-geom; --tol-curv is an unknown argument
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--example", "flat-torus", "--grid", "2", "--tol-curv", "1e-4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol-curv" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value", [
-    ("--tol-alg", "-1"), ("--tol-geom", "nan"), ("--tol-curv", "inf"),
+    ("--tol-alg", "-1"), ("--tol-geom", "nan"),
 ])
 def test_verify_rejects_bad_tolerance(monkeypatch, capsys, flag, value):
     # a usage error before any sweep, never a false verification failure

@@ -81,7 +81,6 @@ flag_cases = st.one_of(
     st.tuples(st.sampled_from([
         ["verify", "--example", "flat-torus", "--grid", "2", "--tol-geom"],
         ["verify", "--example", "flat-torus", "--grid", "2", "--tol-alg"],
-        ["verify", "--example", "flat-torus", "--grid", "2", "--tol-curv"],
         ["verify", "--example", "flat-torus", "--grid", "2", "--seed"],
         ["scan", "--example", "flat-torus", "--grid", "2", "--quantity"],
         ["lu", "extremal", "--n", "3", "--k"],

@@ -131,11 +131,11 @@ def test_verify_bare_chart():
 
 
 def test_verify_tolerance_failure():
-    # on a curved entry the oracle's differenced Christoffel derivatives
-    # leave a gap near 1e-8, far above 1e-12
+    # at 2e-15 the grid residuals (legendrian, minimality and symmetry, at
+    # most 8.9e-16 here) pass, and the exact oracle's gap of 4.4e-15 does not
     entry = zoo.calabi_torus(3)
     report = verify_chart(entry, GridSpec(points_per_dim=6),
-                          Tolerances(curvature=1e-12))
+                          Tolerances(geometry=2e-15))
     assert not report.passed
     failing = {c.name for c in report.checks if not c.passed}
     assert failing == {"scalar_curvature"}

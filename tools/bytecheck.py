@@ -30,7 +30,11 @@ The roster:
   sweep boxes;
 - ``verify --no-timing`` on calabi n=8 at grid 3 and ``integral`` on calabi
   n=13 at grid 2, which run the jets at high n and the batch floor of 128
-  points.
+  points;
+- ``verify --no-timing`` on geodesic-sphere n=13 at grid 2, seeds 5 and 8,
+  and on calabi n=8 at grid 3, seed 14: correct charts whose curvature
+  samples sit near the pole margin, where a differenced curvature oracle
+  failed them.
 """
 
 from __future__ import annotations
@@ -81,6 +85,9 @@ ROSTER = (
     + [["integral", "--example", "calabi", "--n", "4"]]
     + [["verify", "--example", "calabi", "--n", "8", "--grid", "3", "--seed", "0", "--no-timing"],
        ["integral", "--example", "calabi", "--n", "13", "--grid", "2"]]
+    + [["verify", "--example", "geodesic-sphere", "--n", "13", "--grid", "2", "--seed", str(seed),
+        "--no-timing"] for seed in (5, 8)]
+    + [["verify", "--example", "calabi", "--n", "8", "--grid", "3", "--seed", "14", "--no-timing"]]
 )
 
 
