@@ -1,12 +1,10 @@
 """Grid verification, quadrature and scan drivers.
 
-verify_chart sweeps a chart on a midpoint grid, evaluates every pointwise
-check (contact conditions, minimality, symmetry of the cubic form, positive
-semidefiniteness, expected spectral data, Gauss-rank stability), runs the
-per-chart extras (Simons-type identity where the example has parallel cubic
-form, the intrinsic scalar-curvature oracle at seeded points), and emits a
-deterministic report: fixed key order, floats at 17 significant digits, and
-a wall-time field that can be omitted so reports compare byte-for-byte.
+verify_chart sweeps a chart on a midpoint grid, runs the checks that the
+table "Report checks" of the README lists in report order (the pointwise
+ones are the rows of CHECKS), and emits a deterministic report: fixed key
+order, floats at 17 significant digits, and a wall-time field that can be
+omitted so reports compare byte-for-byte.
 
 integral_p1 evaluates the integral obstruction
 
@@ -21,6 +19,7 @@ strengthens the <= 0 assertion.
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from dataclasses import dataclass
@@ -94,12 +93,21 @@ class GridSpec:
             raise ValueError(f"grid gives {len(counts)} dims, chart has {dim}")
         if any(c < 2 for c in counts):
             raise ValueError("need at least 2 points per dimension")
+        # A count above 2**53 counts as 2**53: the scaling below runs in floats, which
+        # hold every integer up to it, and the product of 13 of them stays finite.
+        counts = [min(c, 2**53) for c in counts]
         total = math.prod(counts)
         if total > GRID_CAP:
             factor = (GRID_CAP / total) ** (1.0 / dim)
             counts = [max(2, int(c * factor)) for c in counts]
-            while math.prod(counts) > GRID_CAP:
-                counts[int(np.argmax(counts))] -= 1
+            # Then take 1 from the largest count, the first of equal ones, until the
+            # product fits.  That lowers the counts level by level, in axis order
+            # within a level: it caps axis i at (p + i) // dim as p falls from
+            # dim * max(counts), and stops at the largest p whose product fits.
+            trimmed = lambda p: [min(c, (p + i) // dim) for i, c in enumerate(counts)]
+            p = 2 * dim - 1 + bisect.bisect_right(range(2 * dim, dim * max(counts) + 1), GRID_CAP,
+                                                  key=lambda p: math.prod(trimmed(p)))
+            counts = trimmed(p)
         return tuple(counts)
 
     def echo(self, dim: int) -> dict:
@@ -185,6 +193,23 @@ def _p1_and_volume(lambdas: np.ndarray, normB2: np.ndarray, sqrtdetg: np.ndarray
 
 
 # ---- reports -----------------------------------------------------------------
+
+
+# The pointwise checks in report order: (name, tolerance, residual).  The
+# tolerance names a Tolerances class, or value_tol: such a row compares with a
+# ZooEntry's expected values and runs only when one is given.  The residual maps
+# a batch's PointData and the entry to one value per point; its maximum over the
+# grid, clipped below at 0, is the check's residual.  Each row looks its
+# functions up when it runs, so the tracer of bench/spans.py sees their calls.
+CHECKS = (
+    ("legendrian", "geometry", lambda pd, e: legendrian_residual(pd.frame)),
+    ("minimality", "geometry", lambda pd, e: minimality_residual(pd.sigma)),
+    ("sigma_symmetry", "geometry", lambda pd, e: sigma_symmetry_defect(pd.sigma)),
+    ("psd", "algebra", lambda pd, e: -pd.spectrum.lambdas[:, -1]),
+    ("pinch_expected", "value_tol", lambda pd, e: np.abs(pd.spectrum.pinch - e.pinch)),
+    ("normB2_expected", "value_tol", lambda pd, e: np.abs(pd.spectrum.normB2 - e.normB2)),
+    ("lambdas_expected", "value_tol", lambda pd, e: np.abs(pd.spectrum.lambdas - e.lambdas).max(axis=1)),
+)
 
 
 @dataclass(frozen=True)
@@ -279,13 +304,14 @@ def verify_chart(
     t0 = time.perf_counter()
     expected = entry if isinstance(entry, ZooEntry) else None
     chart = entry.chart if isinstance(entry, ZooEntry) else entry
+    table = [row for row in CHECKS if expected is not None or row[1] != "value_tol"]
     pts, wts = grid_points(chart, grid)
     size = pts.shape[0]
     simons = expected is not None and expected.simons_tol is not None
     spts = sample_points(chart, 20, seed=grid.seed + 7)
     # One batched pass over the grid rows, then the curvature samples, then the
-    # Simons point, cut as a one-axis grid; every residual, rank and spectrum
-    # reads the grid rows only.
+    # Simons point, cut as a one-axis grid; every check of the table, rank and
+    # spectrum reads the grid rows only.
     rows = [pts, spts]
     if simons:
         rows.append(sample_points(chart, 1, seed=grid.seed + 101))
@@ -294,12 +320,10 @@ def verify_chart(
     for (box,) in _boxes((len(rows),), _batch_size(chart.dim)):
         pd = point_data(chart, rows[box])
         sp = pd.spectrum
-        parts.append((sp.lambdas, sp.normB2, sp.pinch, pd.frame.vol, gauss_rank(sp),
-                      legendrian_residual(pd.frame), minimality_residual(pd.sigma),
-                      sigma_symmetry_defect(pd.sigma), sp.scalar))
-    *columns, scalar = _concat(parts)
-    lambdas, normB2, pinch, sqrtdetg, ranks, legendrian, minimality, symmetry = (
-        column[:size] for column in columns)
+        parts.append((sp.scalar, sp.lambdas, sp.normB2, sp.pinch, pd.frame.vol, gauss_rank(sp),
+                      *(residual(pd, expected) for _, _, residual in table)))
+    scalar, *columns = _concat(parts)
+    lambdas, normB2, pinch, sqrtdetg, ranks, *residuals = (column[:size] for column in columns)
     r_gauss = scalar[size:size + len(spts)]
 
     checks: list[CheckResult] = []
@@ -308,22 +332,9 @@ def verify_chart(
         residual = float(residual)
         checks.append(CheckResult(name, residual, float(tolerance), residual <= tolerance, hard))
 
-    add("legendrian", legendrian.max(), tolerances.geometry)
-    add("minimality", minimality.max(), tolerances.geometry)
-    add("sigma_symmetry", symmetry.max(), tolerances.geometry)
-    add("psd", max(0.0, -float(lambdas[:, -1].min())), tolerances.algebra)
-
-    if expected is not None:
-        add("pinch_expected", np.max(np.abs(pinch - expected.pinch)), expected.value_tol)
-        add("normB2_expected", np.max(np.abs(normB2 - expected.normB2)), expected.value_tol)
-        add(
-            "lambdas_expected",
-            np.max(np.abs(lambdas - np.asarray(expected.lambdas))),
-            expected.value_tol,
-        )
-        add("gauss_rank", np.count_nonzero(ranks != expected.gauss_rank), 0.5)
-    else:
-        add("gauss_rank", np.count_nonzero(ranks != ranks[0]), 0.5)
+    for (name, tol, _), column in zip(table, residuals):
+        add(name, max(0.0, column.max()), getattr(expected if tol == "value_tol" else tolerances, tol))
+    add("gauss_rank", np.count_nonzero(ranks != (ranks[0] if expected is None else expected.gauss_rank)), 0.5)
 
     if simons:
         # the Simons point is the last row of the last batch

@@ -29,4 +29,4 @@ def test_bytecheck_manifest_lines():
     assert (rc2, err2, files2, argv2) == ("0", empty, "-", roster[1])
     # lu check reads the unit family as written, so it prints what lu extremal printed
     assert len(out) == 64 and out == out2
-    assert len(bytecheck.ROSTER) == 59
+    assert len(bytecheck.ROSTER) == 61

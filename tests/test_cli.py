@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -91,6 +92,21 @@ def test_verify_has_no_curvature_tolerance_flag(capsys):
         main(["verify", "--example", "flat-torus", "--grid", "2", "--tol-curv", "1e-4"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tol-curv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--example", "calabi", "--n", "3", "--grid", "1" + "0" * 400, "--no-timing"],
+    ["integral", "--example", "flat-torus", "--grid", "10000000000,2"],
+])
+def test_huge_grid_counts_resolve_at_once(capsys, argv):
+    # a count beyond the float range, or a shrink of 10^10 points per axis,
+    # resolves to a grid within the cap without a traceback or a long trim
+    t0 = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert code in (0, 2) and elapsed < 2.0
+    assert captured.err.count("\n") <= 1 and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -31,6 +32,12 @@ def test_gridspec_resolve():
     # 24^3 = 13824 exceeds the cap, shrink to 21^3 = 9261
     assert GridSpec(points_per_dim=24).resolve(3) == (21, 21, 21)
     assert math.prod(GridSpec(points_per_dim=100).resolve(4)) <= verify.GRID_CAP == 10_000
+    # counts beyond the float range resolve within the cap and the floor of 2
+    assert GridSpec(points_per_dim=10**400).resolve(3) == (21, 21, 21)
+    assert GridSpec(points_per_dim=(10**10, 2)).resolve(2) == (5000, 2)
+    for ppd, dim in (((2, 10**400, 5), 3), (10**400, 13), ((10**300, 10**300), 2)):
+        counts = GridSpec(points_per_dim=ppd).resolve(dim)
+        assert min(counts) >= 2 and math.prod(counts) <= verify.GRID_CAP
 
 
 def test_gridspec_validation(monkeypatch):
@@ -46,6 +53,33 @@ def test_gridspec_validation(monkeypatch):
         GridSpec(points_per_dim=16).resolve(3)
     monkeypatch.setattr(verify, "GRID_CAP", 8)
     assert GridSpec(points_per_dim=16).resolve(3) == (2, 2, 2)
+
+
+def _resolve_by_loop(counts, cap):
+    """GridSpec.resolve as a shrink loop: scale every axis by one factor, then
+    take 1 from the largest count, the first of equal ones, until the product
+    fits the cap."""
+    counts = list(counts)
+    total = math.prod(counts)
+    if total > cap:
+        factor = (cap / total) ** (1.0 / len(counts))
+        counts = [max(2, int(c * factor)) for c in counts]
+        while math.prod(counts) > cap:
+            counts[counts.index(max(counts))] -= 1
+    return tuple(counts)
+
+
+def test_gridspec_resolve_matches_shrink_loop():
+    rng = random.Random(20)
+    for dim in (1, 2, 3, 4):
+        cases = [[v] * dim for v in (2, 3, 10, 21, 22, 24, 100, 101, 1000, 10**4, 2 * 10**4, 10**5)]
+        cases += [[10**5] + [2] * (dim - 1), [2] * (dim - 1) + [10**5], [3, 10**5, 7, 2][:dim]]
+        cases += [[rng.randint(2, 10**5) for _ in range(dim)] for _ in range(30)]
+        cases += [[int(10 ** rng.uniform(0.31, 5)) for _ in range(dim)] for _ in range(60)]
+        cases += [[rng.choice((2, 3, 10, 99, 100, 10**4, 10**5)) for _ in range(dim)] for _ in range(30)]
+        for counts in cases:
+            expected = _resolve_by_loop(counts, verify.GRID_CAP)
+            assert GridSpec(points_per_dim=tuple(counts)).resolve(dim) == expected, counts
 
 
 def test_grid_points_offset_measure():
@@ -126,8 +160,29 @@ def test_verify_bare_chart():
     report = verify_chart(zoo.flat_legendrian_torus().chart, GridSpec(points_per_dim=8))
     names = [c.name for c in report.checks]
     assert report.passed
-    assert "pinch_expected" not in names and "simons" not in names
-    assert "gauss_rank" in names
+    assert names == ["legendrian", "minimality", "sigma_symmetry", "psd", "gauss_rank",
+                     "scalar_curvature", "integral_p1_nonpositive"]
+
+
+@pytest.mark.parametrize("value, passed", [(5e-7, True), (2e-6, False)])
+def test_check_table_row_adds_a_check(monkeypatch, value, passed):
+    # one row of the table is one check: at its position, with its class's tolerance
+    row = ("extra", "quadrature", lambda pd, e: np.full(pd.sigma.shape[0], value))
+    monkeypatch.setattr(verify, "CHECKS", verify.CHECKS[:4] + (row,) + verify.CHECKS[4:])
+    report = verify_chart(zoo.calabi_torus(3), GridSpec(points_per_dim=4))
+    assert [c.name for c in report.checks][3:6] == ["psd", "extra", "pinch_expected"]
+    extra = report.checks[4]
+    assert (extra.max_residual, extra.tolerance) == (value, Tolerances().quadrature)
+    assert extra.hard and extra.passed == passed and report.passed == passed
+
+
+def test_check_rows_look_up_residuals_when_they_run(monkeypatch):
+    # the benchmark's tracer replaces verify.legendrian_residual at run time
+    monkeypatch.setattr(verify, "legendrian_residual", lambda frame: np.ones(frame.vol.shape))
+    report = verify_chart(zoo.calabi_torus(2), GridSpec(points_per_dim=4))
+    legendrian = report.checks[0]
+    assert legendrian.name == "legendrian" and legendrian.max_residual == 1.0
+    assert not legendrian.passed and not report.passed
 
 
 def test_verify_tolerance_failure():

@@ -34,7 +34,12 @@ The roster:
 - ``verify --no-timing`` on geodesic-sphere n=13 at grid 2, seeds 5 and 8,
   and on calabi n=8 at grid 3, seed 14: correct charts whose curvature
   samples sit near the pole margin, where a differenced curvature oracle
-  failed them.
+  failed them;
+- ``verify --no-timing`` lines that exit 1: calabi n=4 at grid 4 with
+  ``--tol-geom 0 --tol-alg 0`` (legendrian, minimality, sigma_symmetry and
+  scalar_curvature fail), and equivariant-s3 at grid 4 with ``--tol-alg 0``
+  (the hard psd check and the soft simons check fail), so the pass and
+  ``hard`` logic of failing reports is pinned too.
 """
 
 from __future__ import annotations
@@ -88,6 +93,9 @@ ROSTER = (
     + [["verify", "--example", "geodesic-sphere", "--n", "13", "--grid", "2", "--seed", str(seed),
         "--no-timing"] for seed in (5, 8)]
     + [["verify", "--example", "calabi", "--n", "8", "--grid", "3", "--seed", "14", "--no-timing"]]
+    + [["verify", "--example", "calabi", "--n", "4", "--grid", "4", "--tol-geom", "0", "--tol-alg", "0",
+        "--no-timing"],
+       ["verify", "--example", "equivariant-s3", "--grid", "4", "--tol-alg", "0", "--no-timing"]]
 )
 
 
