@@ -2,8 +2,10 @@
 
 Exit codes, each carried by a MinlegError class: 0 success, 1 verification
 failure (FamilyValidationError: an invalid or malformed family document
-included), 2 usage error (UnknownExampleError, and any ValueError or OSError
-from user text or files), 3 numerical failure (NumericalFailure).  Every
+included; also a `lu check` verdict "violated" and a `lu extremal` verdict
+other than "equality", the verdicts that lu_check derives), 2 usage error
+(UnknownExampleError, and any ValueError or OSError from user text or
+files), 3 numerical failure (NumericalFailure).  Every
 error prints one `error:` line to stderr.  Reports go to --out or stdout;
 diagnostics go to stderr.  Grids are evaluated in one thread, in batches
 sized to the chart dimension; the batch size never changes report bytes.
@@ -55,8 +57,17 @@ TRIM_THRESHOLD = 64 * 2**20
 MMAP_THRESHOLD = 32 * 2**20
 
 
+def _fields(flag: str, text: str, kind) -> list:
+    """The comma-separated fields of a flag's value, each read by kind; a value
+    that does not read is a usage error naming the flag and quoting 40 characters."""
+    try:
+        return [kind(p) for p in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} takes {kind.__name__} values separated by commas, got {text[:40]!r}") from None
+
+
 def _parse_grid(text: str) -> int | tuple[int, ...]:
-    parts = [int(p) for p in text.split(",")]
+    parts = _fields("--grid", text, int)
     return parts[0] if len(parts) == 1 else tuple(parts)
 
 
@@ -123,6 +134,7 @@ def _lu_report_doc(fam, report) -> str:
         "lhs": float(report.lhs),
         "rhs": float(report.rhs),
         "slack": float(report.slack),
+        "rounding_bound": float(report.rounding_bound),
         "is_equality": report.is_equality,
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -132,7 +144,7 @@ def _cmd_lu_check(args) -> int:
     fam = load_family(args.file, strict=False)
     report = lu_check(fam)
     sys.stdout.write(_lu_report_doc(fam, report))
-    return 0 if report.slack >= -1e-10 else VERIFY_FAIL
+    return VERIFY_FAIL if report.verdict == "violated" else 0
 
 
 def _cmd_lu_extremal(args) -> int:
@@ -143,7 +155,7 @@ def _cmd_lu_extremal(args) -> int:
 
 
 def _cmd_lu_search(args) -> int:
-    profile = tuple(float(p) for p in args.profile.split(","))
+    profile = tuple(_fields("--profile", args.profile, float))
     best, fam, stats = extremal_search(args.n, profile, restarts=args.restarts, seed=args.seed)
     bound = lu_bound(fam)
     doc = {

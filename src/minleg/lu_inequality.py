@@ -32,7 +32,6 @@ log = logging.getLogger(__name__)
 
 ORTHOGONALITY_TOL = 1e-10
 NORM_ORDER_SLACK = 1e-10
-EQUALITY_TOL = 1e-12
 MAX_DIM = 256  # largest n of a built family: lu extremal at n = 256 peaks near 290 MB
 
 
@@ -86,10 +85,18 @@ class MatrixFamily:
 
 @dataclass(frozen=True)
 class LuReport:
+    """Both sides of the inequality as computed, slack = rhs - lhs, and the
+    rounding bound and verdict of lu_check."""
+
     lhs: float
     rhs: float
     slack: float  # rhs - lhs
-    is_equality: bool
+    rounding_bound: float  # the exact slack lies within slack +- rounding_bound
+    verdict: str  # "violated", "equality" or "strict"
+
+    @property
+    def is_equality(self) -> bool:
+        return self.verdict == "equality"
 
 
 def normalize_family(raw: Sequence[np.ndarray]) -> MatrixFamily:
@@ -143,8 +150,33 @@ def lu_bound(fam: MatrixFamily) -> float:
 
 
 def lu_check(fam: MatrixFamily) -> LuReport:
-    """Evaluate both sides of the inequality; slack = rhs - lhs, and an
-    equality is |slack| <= EQUALITY_TOL.
+    """Evaluate both sides of the inequality, slack = rhs - lhs, and the
+    verdict that the rounding bound allows.
+
+    The rounding bound B is a-priori: both the exact slack R - L of the
+    stored doubles and the exact slack N_1 R - L of the homogeneous form
+    (N_1 = ||A_1||^2, which is 1 only to rounding) lie within slack +- B.
+    The verdict is "violated" when slack < -B, "equality" when |slack| <= B,
+    and "strict" otherwise, so "violated" and "strict" are certified.
+
+    With u = 2^-53 and k = n^2 + m, B is the sum of these terms (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., sections 3.1
+    and 3.5):
+    - k u lhs and k u rhs: each term of either sum is a square that goes
+      through at most k - 1 roundings, so the sum errs by at most
+      gamma_{k-1} < k u times its exact value, in any summation order;
+    - 4 (n + 1) u sqrt(N_1 rhs lhs), the commutators: ||fl(C_a) - C_a|| is at
+      most e_a = 2 gamma_{n+1} ||A_1|| ||A_a||, so the lhs moves by at most
+      sum_a e_a (2 ||fl(C_a)|| + e_a), which Cauchy-Schwarz bounds by this
+      term plus a second-order one;
+    - (|N_1 - 1| + 2 u) rhs, the homogeneity: the inequality for any A_1 is
+      lhs <= N_1 rhs, and N_1, an fsum of rounded squares, errs by at most 2 u;
+    - u |slack|, the final subtraction.
+    The factor 1 + 4 (k + 8) u covers the second-order terms, the change from
+    exact values to computed ones and the evaluation of B in floats (k u is
+    below 2^-36 up to n = MAX_DIM, and MatrixFamily keeps N_1 within 3e-10
+    of 1).  The term m k 2^-1069 covers underflow: a product below the normal
+    range errs by up to 2^-1075.
 
     Raises NumericalFailure when the lhs exceeds the largest double.  The rhs
     cannot (MatrixFamily checks it), and the lhs is a sum of non-negative
@@ -155,7 +187,12 @@ def lu_check(fam: MatrixFamily) -> LuReport:
         raise NumericalFailure("lhs sum ||[A_1, A_a]||^2 exceeds the largest double")
     rhs = lu_bound(fam)
     slack = rhs - lhs
-    return LuReport(lhs=float(lhs), rhs=rhs, slack=float(slack), is_equality=abs(slack) <= EQUALITY_TOL)
+    k, u, a1 = fam.n * fam.n + fam.m, 2.0**-53, math.fsum((fam.mats[0] ** 2).flat)
+    first_order = (k * u * lhs + ((k + 2) * u + abs(a1 - 1.0)) * rhs
+                   + 4 * (fam.n + 1) * u * math.sqrt(a1) * math.sqrt(rhs) * math.sqrt(lhs) + u * abs(slack))
+    bound = first_order * (1 + 4 * (k + 8) * u) + fam.m * k * 2.0**-1069
+    verdict = "violated" if slack < -bound else "equality" if abs(slack) <= bound else "strict"
+    return LuReport(lhs=float(lhs), rhs=rhs, slack=float(slack), rounding_bound=bound, verdict=verdict)
 
 
 def canonical_extremal(n: int, k: int, mu: float = 1.0) -> MatrixFamily:
@@ -182,10 +219,7 @@ def canonical_extremal(n: int, k: int, mu: float = 1.0) -> MatrixFamily:
     if not math.isfinite(lhs):
         raise ValueError(f"mu={mu!r} is too large: the lhs sum ||[A_1, A_a]||^2 exceeds the largest double")
     mats = np.zeros((n, n, n))
-    diag = np.zeros(n)
-    diag[0] = k
-    diag[1 : k + 1] = -1.0
-    mats[0] = np.diag(lam * diag)
+    mats[0] = np.diag(lam * np.array([k] + [-1.0] * k + [0.0] * (n - k - 1)))
     for a in range(1, k + 1):
         mats[a][0, a] = mats[a][a, 0] = mu
     return MatrixFamily(n=n, mats=mats)

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from minleg import MinlegError, NumericalFailure, cli
+from minleg import MinlegError, NumericalFailure, cli, lu_inequality
 from minleg.cli import main
 from minleg.geometry import DegeneratePointError, NonPSDError
 from minleg.lu_inequality import (MAX_DIM, FamilyValidationError, MatrixFamily, canonical_extremal,
@@ -107,6 +107,23 @@ def test_huge_grid_counts_resolve_at_once(capsys, argv):
     captured = capsys.readouterr()
     assert code in (0, 2) and elapsed < 2.0
     assert captured.err.count("\n") <= 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, quoted", [
+    (["integral", "--example", "flat-torus", "--grid", "5" * 5000], "'" + "5" * 40 + "'"),
+    (["integral", "--example", "flat-torus", "--grid", "abc"], "'abc'"),
+    (["verify", "--example", "flat-torus", "--grid", "4,,4"], "'4,,4'"),
+    (["scan", "--example", "flat-torus", "--grid", "4,x" + "9" * 100], "'4,x" + "9" * 37 + "'"),
+    (["lu", "search", "--n", "3", "--profile", "x"], "'x'"),
+    (["lu", "search", "--n", "3", "--profile", "1,0.5,"], "'1,0.5,'"),
+])
+def test_unreadable_flag_values_name_their_flag(capsys, argv, quoted):
+    # one line, exit 2, the flag named and at most 40 characters of its value quoted
+    code = main(argv)
+    captured = capsys.readouterr()
+    kind = "int" if argv[-2] == "--grid" else "float"
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {argv[-2]} takes {kind} values separated by commas, got {quoted}\n"
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -470,7 +487,8 @@ def test_lu_extremal_accepts_exactly_the_mu_whose_lhs_fits():
                 hi = mid
         assert hi == np.nextafter(lo, math.inf)
         mats = canonical_extremal(n, k, lo).mats.copy()
-        assert math.isfinite(lu_check(MatrixFamily(n=n, mats=mats)).lhs)
+        rep = lu_check(MatrixFamily(n=n, mats=mats))
+        assert math.isfinite(rep.lhs) and math.isfinite(rep.rounding_bound) and rep.is_equality, (n, k, rep)
         for a in range(1, k + 1):
             mats[a, 0, a] = mats[a, a, 0] = hi
         with pytest.raises((FamilyValidationError, NumericalFailure)):
@@ -487,8 +505,8 @@ def _not_json(name):
     (3, 2, "5.4737146662668906e+153", 2),
     (12, 9, "2.9980769960612384e+153", 2),
     (12, 11, "2.7368573331334453e+153", 2),
-    # just below them the lhs fits; (3, 2) misses the absolute EQUALITY_TOL
-    (3, 2, "5.473714666266885e+153", 1),
+    # just below them the lhs fits, and the slack lies within the rounding bound
+    (3, 2, "5.473714666266885e+153", 0),
     (12, 11, "2.736857333133445e+153", 0),
 ])
 def test_lu_extremal_lhs_at_the_largest_double(tmp_path, capsys, recwarn, n, k, mu, code):
@@ -503,24 +521,56 @@ def test_lu_extremal_lhs_at_the_largest_double(tmp_path, capsys, recwarn, n, k, 
         # a strict parse: Infinity, -Infinity and NaN are refused
         doc = json.loads(captured.out, parse_constant=_not_json)
         assert doc["slack"] == doc["rhs"] - doc["lhs"] and doc["lhs"] > 1.79e308
-        assert main(["lu", "check", "--file", str(out)]) == (0 if doc["slack"] >= -1e-10 else 1)
+        assert math.isfinite(doc["rounding_bound"]) and doc["is_equality"] is True
+        verdict = lu_check(load_family(out, strict=False)).verdict
+        assert main(["lu", "check", "--file", str(out)]) == (1 if verdict == "violated" else 0)
         json.loads(capsys.readouterr().out, parse_constant=_not_json)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_lu_check_reads_an_extremal_file_as_written(tmp_path, capsys):
     # a unit A_1 is not rescaled on load, so the check sums the same lhs as
-    # lu extremal did, one step below the largest double.  lu extremal exits 1
-    # (the slack misses the absolute EQUALITY_TOL); lu check exits 0, as the
-    # inequality holds.
+    # lu extremal did, one step below the largest double, and both read the
+    # slack of 2.0e292 as an equality within a rounding bound of 7.3e294
     out = tmp_path / "family.json"
     rc = main(["lu", "extremal", "--n", "12", "--k", "9", "--mu", "2.998076996061238e+153", "--out", str(out)])
     written = capsys.readouterr()
-    assert rc == 1 and written.err == ""
+    assert rc == 0 and written.err == ""
     assert json.loads(written.out)["slack"] > 0.0
     assert main(["lu", "check", "--file", str(out)]) == 0
     assert capsys.readouterr() == written
 
+
+
+@pytest.mark.parametrize("n, k, mu", [
+    (3, 2, "100"), (3, 1, "1e3"), (3, 1, "1e5"), (3, 2, "1e5"), (3, 1, "1e6"), (3, 2, "1e6"),
+])
+def test_lu_extremal_is_an_equality_at_every_scale(tmp_path, capsys, n, k, mu):
+    # the slack of these exact equality families exceeds 1e-12 in magnitude,
+    # but not the rounding bound, which grows with the rhs
+    out = tmp_path / "family.json"
+    assert main(["lu", "extremal", "--n", str(n), "--k", str(k), "--mu", mu, "--out", str(out)]) == 0
+    written = json.loads(capsys.readouterr().out)
+    assert written["is_equality"] is True and abs(written["slack"]) > 1e-12
+    assert abs(written["slack"]) <= written["rounding_bound"] <= 1e-14 * written["rhs"]
+    assert list(written) == ["n", "m", "lhs", "rhs", "slack", "rounding_bound", "is_equality"]
+    assert main(["lu", "check", "--file", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out) == written
+
+
+def test_lu_check_exits_1_only_on_a_violation(tmp_path, capsys, monkeypatch):
+    # an lhs above the rhs by twice the rounding bound is a certified violation
+    out = tmp_path / "family.json"
+    assert main(["lu", "extremal", "--n", "3", "--k", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    honest = lu_check(load_family(out))
+    monkeypatch.setattr(lu_inequality, "_lhs", lambda a1, tail: honest.rhs + 2.0 * honest.rounding_bound)
+    report = lu_check(load_family(out))
+    assert report.verdict == "violated" and not report.is_equality
+    assert report.slack < -report.rounding_bound
+    assert main(["lu", "check", "--file", str(out)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["slack"] == report.slack and doc["rounding_bound"] == report.rounding_bound
 
 
 def _rounded(x, digits):

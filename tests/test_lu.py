@@ -199,6 +199,91 @@ def test_conjugation_invariance():
         assert abs(rep0.slack - rep1.slack) < 1e-10
 
 
+def _pair(*terms):
+    """The sum of v 2^p over the integer pairs (v, p), as one pair."""
+    low = min(p for _, p in terms)
+    return sum(v << (p - low) for v, p in terms), low
+
+
+def _double(x):
+    """The pair (v, p) with v 2^p == x, for a double x."""
+    num, den = x.as_integer_ratio()
+    return num, 1 - den.bit_length()
+
+
+def _exact_slacks(stack):
+    """Yield, for each family of a stack (F, m, n, n) of doubles, its exact
+    slacks R - L and N_1 R - L as pairs (v, p).  Each matrix is an integer
+    matrix Z times 2^e, e the exponent of its lowest set bit, so every
+    product and sum runs on Python integers."""
+    mant, ex = np.frexp(stack)
+    nz = mant != 0.0
+    low = np.where(nz, ex, 2**20).min(axis=(2, 3), keepdims=True)
+    low[low == 2**20] = 0  # a zero matrix
+    z = np.ldexp(mant, 53).astype(np.int64).astype(object) << np.where(nz, ex - low, 0).astype(object)
+    norms2 = (z * z).sum(axis=(2, 3)).tolist()
+    c = z[:, :1] @ z[:, 1:] - z[:, 1:] @ z[:, :1]
+    comm2 = (c * c).sum(axis=(2, 3)).tolist()
+    for n2, c2, e in zip(norms2, comm2, (low[:, :, 0, 0] - 53).tolist()):
+        tail = [(v, 2 * p) for v, p in zip(n2[1:], e[1:])]
+        rhs = _pair((0, 0), *tail[:1], *tail)
+        lhs = [(-v, 2 * (e[0] + p)) for v, p in zip(c2, e[1:])]
+        yield _pair(rhs, *lhs), _pair((n2[0] * rhs[0], 2 * e[0] + rhs[1]), *lhs)
+
+
+def _bound_test_families(rng):
+    """(equality type?, family) pairs, 10^4 of them."""
+    for n in range(2, 7):
+        for k in range(1, n):
+            for e in range(-3, 151, 3):
+                yield True, canonical_extremal(n, k, 10.0**e)
+    for n in range(2, 6):
+        # extremals in a random orthonormal basis, through the lenient load
+        qs = np.linalg.qr(rng.standard_normal((1155, n, n)))[0]
+        for q, k, mu in zip(qs, rng.integers(1, n, 1155), 10.0 ** rng.uniform(-3, 150, 1155)):
+            yield True, normalize_family(list(q.T @ canonical_extremal(n, int(k), mu).mats @ q))
+    for i in range(4600):
+        # random HS-orthogonal families; the first 200 have tails near 1e-160,
+        # whose squares fall below the normal range
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(1, n + 1))
+        w = rng.standard_normal((m, n, n))
+        q = np.linalg.qr((w + w.transpose(0, 2, 1)).reshape(m, -1).T)[0].T.reshape(m, n, n)
+        lo, hi = (-170, -150) if i < 200 else (-3, 3)
+        norms = 10.0 ** np.concatenate([rng.uniform(-2, 2, 1), rng.uniform(lo, hi, m - 1)])
+        yield False, normalize_family(list(q * norms[:, None, None]))
+
+
+def test_rounding_bound_contains_the_exact_slack():
+    # exact integer arithmetic on the stored doubles: both R - L and the
+    # homogeneous N_1 R - L lie within slack +- rounding_bound, and every
+    # equality-type family reads as an equality
+    groups = {}
+    for equality_type, fam in _bound_test_families(np.random.default_rng(2024)):
+        groups.setdefault(fam.mats.shape, []).append((equality_type, fam.mats, lu_check(fam)))
+    verdicts = {}
+    for rows in groups.values():
+        for (equality_type, _, rep), exact in zip(rows, _exact_slacks(np.stack([r[1] for r in rows]))):
+            for v, p in exact:
+                d, q = _pair(_double(rep.slack), (-v, p))
+                assert _pair(_double(rep.rounding_bound), (-abs(d), q))[0] >= 0, rep
+            assert rep.verdict == ("equality" if abs(rep.slack) <= rep.rounding_bound
+                                   else "strict" if rep.slack > 0 else "violated")
+            assert rep.is_equality or not equality_type, rep
+            verdicts[equality_type, rep.verdict] = verdicts.get((equality_type, rep.verdict), 0) + 1
+    assert sum(verdicts.values()) == 10_000
+    assert verdicts[True, "equality"] == 5400 and verdicts[False, "strict"] > 2500
+
+
+def test_rounding_bound_below_the_old_constant_at_unit_scale():
+    # the fixed 1e-12 it replaces was looser on every extremal up to n = 12
+    for n in range(2, 13):
+        for k in range(1, n):
+            rep = lu_check(canonical_extremal(n, k))
+            assert rep.is_equality and 0.0 < rep.rounding_bound < 1e-12, (n, k, rep)
+    assert lu_check(canonical_extremal(3, 1)).rounding_bound < 2e-14
+
+
 # ---- optimizer ----------------------------------------------------------------
 
 

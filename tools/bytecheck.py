@@ -19,6 +19,9 @@ The roster:
 - ``lu extremal`` (n, k) = (12, 9) at the largest mu whose lhs ``lu extremal``
   can sum, with ``--out``, and ``lu check`` on that file, which must not
   rescale it past the largest double;
+- ``lu extremal`` (n, k) = (3, 2) at mu = 100 with ``--out``, and ``lu check``
+  on that file: an equality whose slack, -2.2e-11, exceeds any fixed 1e-12
+  but not the rounding bound;
 - ``lu search --n 4 --profile 1,1,1 --restarts 48 --out`` at seeds 3 and 7,
   and ``lu search --restarts 12 --seed 7 --out`` at n=2 profile 1, n=3
   profiles 1,0.5 and 1e3,1, and n=4 profile 1,0,0 (zero and scaled tails),
@@ -76,7 +79,9 @@ ROSTER = (
     + [["lu", "check", "--file", f"{{dir}}/extremal-{n}-{k}.json"] for n, k in ((3, 1), (4, 2))]
     + [["lu", "extremal", "--n", "12", "--k", "9", "--mu", "2.998076996061238e+153",
         "--out", "{dir}/extremal-12-9.json"],
-       ["lu", "check", "--file", "{dir}/extremal-12-9.json"]]
+       ["lu", "check", "--file", "{dir}/extremal-12-9.json"],
+       ["lu", "extremal", "--n", "3", "--k", "2", "--mu", "100", "--out", "{dir}/extremal-3-2.json"],
+       ["lu", "check", "--file", "{dir}/extremal-3-2.json"]]
     + [["lu", "search", "--n", "4", "--profile", "1,1,1", "--restarts", "48",
         "--seed", str(seed), "--out", f"{{dir}}/search-{seed}.json"] for seed in (3, 7)]
     + [["lu", "search", "--n", n, "--profile", profile, "--restarts", "12", "--seed", "7",
