@@ -88,11 +88,13 @@ from .verify import (
 from .zoo import (
     UnknownExampleError,
     ZooEntry,
+    calabi_product,
     calabi_sigma_closed_form,
     calabi_torus,
     default_entries,
     equivariant_sphere3,
     flat_legendrian_torus,
+    flat_torus,
     geodesic_sphere,
     get_entry,
 )

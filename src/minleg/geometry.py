@@ -88,7 +88,8 @@ class ImmersionChart:
         self.closed = all(iv.periodic for iv in domain) if closed is None else closed
         self._fn = component_fn
 
-    def _components(self, coords):
+    def components(self, coords):
+        """component_fn on a list of coordinate jets, checked for its length."""
         comps = self._fn(coords)
         if len(comps) != self.ambient_complex_dim:
             raise ValueError(
@@ -108,7 +109,7 @@ class ImmersionChart:
         (real part) and 2k + 1 (imaginary part).
         """
         coords = Jet.variables(u)
-        comps = self._components(coords)
+        comps = self.components(coords)
         batch = np.broadcast_shapes(*(x.val.shape for x in coords))
         rows = 2 * len(comps)
         out = tuple(np.empty(batch + (rows,) + (len(coords),) * order) for order in range(3))

@@ -72,7 +72,8 @@ class MatrixFamily:
             raise FamilyValidationError("norms of A_2.. must be descending")
         # |<A_a, A_b>| is measured relative to ||A_a|| ||A_b|| once that exceeds 1,
         # so the test does not tighten as the norm profile grows
-        gram = np.einsum("aij,bij->ab", mats, mats)
+        flat = mats.reshape(m, -1)
+        gram = flat @ flat.T
         off = np.abs(gram - np.diag(np.diag(gram)))
         if np.any(off > ORTHOGONALITY_TOL * np.maximum(1.0, np.outer(norms, norms))):
             raise FamilyValidationError(f"pairwise orthogonality violated: max |<A_a, A_b>| = {off.max():.3e}")

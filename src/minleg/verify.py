@@ -402,20 +402,19 @@ class ScanResult:
 def pinching_scan(chart: ImmersionChart, grid: GridSpec = GridSpec(),
                   quantity: str = "pinch") -> ScanResult:
     """Tabulate a spectral quantity over the grid: pinch, normB2, R_plus_mu2,
-    or lambda_k (1-based k)."""
+    or lambda_k for k in 1..n, written in ASCII digits with no sign or
+    leading zero.  Any other name is a ValueError, raised before the sweep."""
     n = chart.dim
     if quantity in ("pinch", "R_plus_mu2"):
         column = lambda sp: sp.pinch
     elif quantity == "normB2":
         column = lambda sp: sp.normB2
-    elif quantity.startswith("lambda_"):
-        k = int(quantity.split("_", 1)[1])
-        if not 1 <= k <= n:
-            raise ValueError(f"lambda index out of range 1..{n}")
+    elif quantity in [f"lambda_{k}" for k in range(1, n + 1)]:
+        k = int(quantity[len("lambda_"):])
         column = lambda sp: sp.lambdas[:, k - 1]
     else:
         raise ValueError(f"unknown quantity {quantity!r}; use one of "
-                         f"{', '.join(QUANTITIES)} or lambda_<k>")
+                         f"{', '.join(QUANTITIES)} or lambda_<k> with k in 1..{n}")
     pts, _ = grid_points(chart, grid)
     meshes, _ = _meshes(chart, grid)
     values = np.concatenate([column(point_data(chart, mesh).spectrum) for mesh in meshes])

@@ -1,25 +1,30 @@
 """Reference immersions with known second-fundamental-form data.
 
-Four families, each wrapped in a ZooEntry carrying the expected spectrum of
-the fundamental matrix, |B|^2, the pinching quantity |B|^2 + lambda_2, the
-Gauss-map rank and the scalar curvature, together with a provenance label
-per value: "literature" for numbers stated in the published literature,
-"construction" for numbers forced by the construction itself, "numeric" for
-frozen values of an independent numerical oracle.
+Each ZooEntry stores one exact value, the spectrum of the fundamental matrix
+as rationals, and derives from it the |B|^2, the pinching quantity
+|B|^2 + lambda_2, the Gauss-map rank and the scalar curvature that the checks
+compare against.  A provenance label per value says where it comes from:
+"literature" for numbers stated in the published literature, "construction"
+for numbers forced by the construction itself, "numeric" for values found by
+an independent numerical oracle.
 
 * geodesic sphere: the totally geodesic S^n of real points, sigma == 0.
-* Calabi torus: minimal Legendrian S^1 x S^(n-1), flat only at n = 2, built
-  from a closed planar curve times a round (n-1)-sphere; fundamental spectrum
+* Calabi product over a minimal Legendrian psi: M^(n-1) -> S^(2n-1): a
+  closed planar curve times psi, with spectrum {n-1} together with
+  ((n+1) lambda + 2)/n for each lambda of psi.  Over the round S^(n-1) it
+  is the Calabi torus S^1 x S^(n-1), flat only at n = 2, with spectrum
   (n-1, 2/n, ..., 2/n) and scalar curvature (n-1)(n-2)(n+1)/n.
 * equivariant S^3: the degree-3 equivariant minimal Legendrian S^3 in S^7
   with |B|^2 = 16/3, spectrum (8/3, 8/3, 0), Gauss rank 2.
-* flat Legendrian torus: the Clifford-style n=2 torus with |B|^2 = 2.
+* flat Legendrian torus T^n in S^(2n+1), every lambda_i = n - 1; at n = 2
+  it is congruent to the Calabi torus.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -31,17 +36,41 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class ZooEntry:
+    """A chart with its known answers.
+
+    `spectrum` is the one stored value: the eigenvalues of the fundamental
+    matrix, constant over the chart, as exact rationals in descending order.
+    The values the checks compare against are derived from it when the entry
+    is built and rounded to floats once: `lambdas` (the spectrum), `normB2`
+    (its sum, |B|^2), `pinch` (|B|^2 + lambda_2), `gauss_rank` (the count of
+    nonzero lambdas) and `scalar` (n(n-1) - |B|^2, by Gauss's equation).
+    """
+
     chart: ImmersionChart
-    normB2: float
-    lambdas: tuple
-    pinch: float
-    gauss_rank: int
-    scalar: float
+    spectrum: tuple
     value_tol: float
     provenance: dict
     notes: str
     simons_tol: float | None = 1e-10
     simons_hard: bool = True
+    lambdas: tuple = field(init=False)
+    normB2: float = field(init=False)
+    pinch: float = field(init=False)
+    gauss_rank: int = field(init=False)
+    scalar: float = field(init=False)
+
+    def __post_init__(self):
+        n, spec = self.chart.dim, self.spectrum
+        norm_b2 = sum(spec)
+        derived = {
+            "lambdas": tuple(map(float, spec)),
+            "normB2": float(norm_b2),
+            "pinch": float(norm_b2 + sum(spec[1:2])),  # a curve has no lambda_2
+            "gauss_rank": sum(1 for lam in spec if lam),
+            "scalar": float(n * (n - 1) - norm_b2),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def name(self) -> str:
@@ -59,30 +88,12 @@ def _sphere_components(angles):
     return comps
 
 
-def _sphere_domain(k: int) -> list[Interval]:
-    if k == 1:
-        return [Interval(0.0, TWO_PI, periodic=True)]
-    return [Interval(0.0, math.pi) for _ in range(k - 1)] + [Interval(0.0, TWO_PI, periodic=True)]
-
-
-def geodesic_sphere(n: int = 3) -> ZooEntry:
-    """Totally geodesic S^n: real points of the unit sphere of C^{n+1}."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    chart = ImmersionChart(
-        name=f"geodesic-sphere-n{n}",
-        dim=n,
-        domain=_sphere_domain(n),
-        component_fn=_sphere_components,
-        closed=True,
-    )
+def _round_sphere(k: int) -> ZooEntry:
+    """The real points of the unit sphere of C^{k+1}, for any k >= 1."""
+    domain = [Interval(0.0, math.pi) for _ in range(k - 1)] + [Interval(0.0, TWO_PI, periodic=True)]
     return ZooEntry(
-        chart=chart,
-        normB2=0.0,
-        lambdas=tuple(0.0 for _ in range(n)),
-        pinch=0.0,
-        gauss_rank=0,
-        scalar=float(n * (n - 1)),
+        chart=ImmersionChart(f"geodesic-sphere-n{k}", k, domain, _sphere_components, closed=True),
+        spectrum=(Fraction(0),) * k,
         value_tol=1e-10,
         provenance={"normB2": "construction", "lambdas": "construction", "pinch": "literature",
                     "gauss_rank": "literature", "scalar": "construction"},
@@ -91,38 +102,54 @@ def geodesic_sphere(n: int = 3) -> ZooEntry:
     )
 
 
-def calabi_torus(n: int = 3) -> ZooEntry:
-    """Minimal Legendrian S^1 x S^(n-1), flat only at n = 2: gamma(t) times a
-    round (n-1)-sphere.
-
-    F(x, t) = (gamma_1(t) phi(x), gamma_2(t)) with
-    gamma_1 = sqrt(n/(n+1)) e^{i t / sqrt(n)}, gamma_2 = sqrt(1/(n+1)) e^{-i sqrt(n) t},
-    phi the unit (n-1)-sphere chart; t has period 2 pi sqrt(n).
-    """
+def geodesic_sphere(n: int = 3) -> ZooEntry:
+    """Totally geodesic S^n: real points of the unit sphere of C^{n+1}."""
     if n < 2:
         raise ValueError("need n >= 2")
-    c1 = math.sqrt(n / (n + 1.0))
-    c2 = math.sqrt(1.0 / (n + 1.0))
-    w1 = 1.0 / math.sqrt(n)
-    w2 = -math.sqrt(n)
+    return _round_sphere(n)
+
+
+def calabi_product(psi: ZooEntry, name: str | None = None, provenance: dict | None = None,
+                   notes: str = "Calabi product: a closed planar curve times psi") -> ZooEntry:
+    """The Calabi product over a minimal Legendrian psi: M^(n-1) -> S^(2n-1).
+
+    F(x, t) = (gamma_1(t) psi(x), gamma_2(t)) with
+    gamma_1 = sqrt(n/(n+1)) e^{i t / sqrt(n)}, gamma_2 = sqrt(1/(n+1)) e^{-i sqrt(n) t};
+    t has period 2 pi sqrt(n).  The spectrum is {n-1} together with
+    ((n+1) lambda + 2)/n for each lambda of psi; the name defaults to
+    "calabi-over-<psi>" and every provenance label to "numeric".
+    """
+    n = psi.chart.dim + 1
+    c1, c2 = math.sqrt(n / (n + 1.0)), math.sqrt(1.0 / (n + 1.0))
+    w1, w2 = 1.0 / math.sqrt(n), -math.sqrt(n)
 
     def fn(coords):
         t = coords[-1]
-        phi = _sphere_components(coords[:-1])
         g1 = c1 * jets.cis(t * w1)
         g2 = c2 * jets.cis(t * w2)
-        return [g1 * p for p in phi] + [g2]
+        return [g1 * p for p in psi.chart.components(coords[:-1])] + [g2]
 
-    domain = _sphere_domain(n - 1) + [Interval(0.0, TWO_PI * math.sqrt(n), periodic=True)]
-    norm_b2 = (n - 1.0) * (n + 2.0) / n
+    domain = [*psi.chart.domain, Interval(0.0, TWO_PI * math.sqrt(n), periodic=True)]
+    spectrum = sorted([Fraction(n - 1)] + [((n + 1) * lam + 2) / n for lam in psi.spectrum], reverse=True)
     return ZooEntry(
-        chart=ImmersionChart(f"calabi-n{n}", n, domain, fn, closed=True),
-        normB2=norm_b2,
-        lambdas=(float(n - 1),) + tuple(2.0 / n for _ in range(n - 1)),
-        pinch=float(n + 1),
-        gauss_rank=n,
-        scalar=n * (n - 1.0) - norm_b2,
-        value_tol=1e-9,
+        chart=ImmersionChart(name or f"calabi-over-{psi.name}", n, domain, fn, closed=True),
+        spectrum=tuple(spectrum),
+        value_tol=max(psi.value_tol, 1e-9),
+        provenance=provenance or dict.fromkeys(psi.provenance, "numeric"),
+        notes=notes,
+        simons_tol=psi.simons_tol,
+        simons_hard=psi.simons_hard,
+    )
+
+
+def calabi_torus(n: int = 3) -> ZooEntry:
+    """Minimal Legendrian S^1 x S^(n-1), flat only at n = 2: the Calabi
+    product over the round (n-1)-sphere."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    return calabi_product(
+        _round_sphere(n - 1),
+        name=f"calabi-n{n}",
         provenance={"normB2": "literature", "lambdas": "literature", "pinch": "literature",
                     "gauss_rank": "numeric", "scalar": "literature"},
         notes="parallel cubic form; the equality case of the pinching bound "
@@ -183,11 +210,7 @@ def equivariant_sphere3() -> ZooEntry:
     ]
     return ZooEntry(
         chart=ImmersionChart("equivariant-s3", 3, domain, fn, closed=True),
-        normB2=16.0 / 3.0,
-        lambdas=(8.0 / 3.0, 8.0 / 3.0, 0.0),
-        pinch=8.0,
-        gauss_rank=2,
-        scalar=2.0 / 3.0,
+        spectrum=(Fraction(8, 3), Fraction(8, 3), Fraction(0)),
         value_tol=1e-8,
         provenance={"normB2": "literature", "lambdas": "literature", "pinch": "literature",
                     "gauss_rank": "literature", "scalar": "literature"},
@@ -199,28 +222,32 @@ def equivariant_sphere3() -> ZooEntry:
     )
 
 
-def flat_legendrian_torus() -> ZooEntry:
-    """n = 2 flat torus (e^{i t1}, e^{i t2}, e^{-i(t1 + t2)}) / sqrt(3)."""
-    s = 1.0 / ROOT3
+def flat_torus(n: int = 2) -> ZooEntry:
+    """Flat Legendrian T^n in S^(2n+1):
+    (e^{i t_1}, ..., e^{i t_n}, e^{-i(t_1 + ... + t_n)}) / sqrt(n+1).
+    At n = 2 it is named "flat-torus"."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    s = 1.0 / math.sqrt(n + 1.0)
 
     def fn(coords):
-        t1, t2 = coords
-        return [s * jets.cis(t1), s * jets.cis(t2), s * jets.cis(-(t1 + t2))]
+        return [s * jets.cis(t) for t in coords] + [s * jets.cis(-sum(coords[1:], coords[0]))]
 
-    domain = [Interval(0.0, TWO_PI, periodic=True), Interval(0.0, TWO_PI, periodic=True)]
     return ZooEntry(
-        chart=ImmersionChart("flat-torus", 2, domain, fn, closed=True),
-        normB2=2.0,
-        lambdas=(1.0, 1.0),
-        pinch=3.0,
-        gauss_rank=2,
-        scalar=0.0,
+        chart=ImmersionChart("flat-torus" if n == 2 else f"flat-torus-n{n}", n,
+                             [Interval(0.0, TWO_PI, periodic=True)] * n, fn, closed=True),
+        spectrum=(Fraction(n - 1),) * n,
         value_tol=1e-9,
         provenance={"normB2": "literature", "lambdas": "numeric", "pinch": "numeric",
                     "gauss_rank": "numeric", "scalar": "literature"},
-        notes="the unique flat surface case in dimension two; congruent to the "
-              "n = 2 Calabi torus",
+        notes="flat, every lambda_i = n - 1; at n = 2 the unique flat surface "
+              "case, congruent to the n = 2 Calabi torus",
     )
+
+
+def flat_legendrian_torus() -> ZooEntry:
+    """The n = 2 flat torus."""
+    return flat_torus(2)
 
 
 # ---- registry ---------------------------------------------------------------
@@ -238,20 +265,21 @@ BUILDERS = {
     "geodesic-sphere": geodesic_sphere,
     "calabi": calabi_torus,
     "equivariant-s3": equivariant_sphere3,
-    "flat-torus": flat_legendrian_torus,
+    "flat-torus": flat_torus,
 }
 
-PARAMETRIC = {"geodesic-sphere", "calabi"}
+PARAMETRIC = {"geodesic-sphere", "calabi", "flat-torus"}
 
 
 def get_entry(name: str, n: int | None = None) -> ZooEntry:
+    """The entry a builder makes at dimension n, or at its own default
+    dimension when n is None.  A name outside PARAMETRIC (only
+    equivariant-s3) refuses an n: it "does not take a dimension"."""
     if name not in BUILDERS:
         raise UnknownExampleError(name)
-    if name in PARAMETRIC:
-        return BUILDERS[name](3 if n is None else n)
-    if n is not None:
+    if n is not None and name not in PARAMETRIC:
         raise ValueError(f"example {name!r} does not take a dimension")
-    return BUILDERS[name]()
+    return BUILDERS[name]() if n is None else BUILDERS[name](n)
 
 
 def default_entries() -> list[ZooEntry]:

@@ -165,7 +165,7 @@ def test_unknown_example(capsys):
 
 
 def test_dimension_on_fixed_example(capsys):
-    code = main(["verify", "--example", "flat-torus", "--n", "3"])
+    code = main(["verify", "--example", "equivariant-s3", "--n", "3"])
     assert code == 2
     assert "does not take a dimension" in capsys.readouterr().err
 
@@ -194,10 +194,14 @@ def test_scan_stdout(capsys):
 
 
 def test_scan_bad_quantity(capsys):
-    code = main(["scan", "--example", "flat-torus", "--grid", "3",
-                 "--quantity", "trace"])
-    assert code == 2
-    assert "unknown quantity" in capsys.readouterr().err
+    # lambda_<k> takes only ASCII digits with no sign or leading zero, k in 1..n
+    for quantity in ("trace", "lambda_x", "lambda_", "lambda_+2", "lambda_ 2", "lambda_0_2",
+                     "lambda_02", "lambda_\u0663", "lambda_0", "lambda_4", "lambda_" + "9" * 5000):
+        code = main(["scan", "--example", "calabi", "--grid", "3", "--quantity", quantity])
+        captured = capsys.readouterr()
+        assert code == 2, quantity
+        assert captured.out == "" and captured.err.startswith("error: unknown quantity"), quantity
+        assert captured.err.count("\n") == 1, quantity
 
 
 def test_integral_values(capsys):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from minleg.geometry import (
     point_data,
     scalar_curvature_intrinsic,
 )
-from minleg.verify import GridSpec, _meshes, grid_axes, grid_points, sample_points
+from minleg.verify import GridSpec, _meshes, grid_axes, grid_points, sample_points, verify_chart
 
 
 def _sweep_stats(entry, grid=None):
@@ -158,11 +160,47 @@ def test_registry_lookup():
     with pytest.raises(zoo.UnknownExampleError) as err:
         zoo.get_entry("moebius")
     assert "calabi" in err.value.available
+    assert zoo.get_entry("flat-torus", n=3).name == "flat-torus-n3"
     with pytest.raises(ValueError):
-        zoo.get_entry("flat-torus", n=3)
-    assert zoo.PARAMETRIC == {"geodesic-sphere", "calabi"}
+        zoo.get_entry("equivariant-s3", n=3)
+    assert zoo.PARAMETRIC == {"geodesic-sphere", "calabi", "flat-torus"}
     names = [e.name for e in zoo.default_entries()]
     assert names == [
         "geodesic-sphere-n3", "calabi-n2", "calabi-n3", "calabi-n4",
         "equivariant-s3", "flat-torus",
     ]
+
+
+def test_pinching_theorem_over_the_generators():
+    # |B|^2 + lambda_2 <= n + 1 only for totally geodesic spheres and Calabi
+    # tori (T^2 is the n = 2 Calabi torus); every other entry lies above
+    at_most = ([zoo.geodesic_sphere(n) for n in range(2, 7)] + [zoo.calabi_torus(n) for n in range(2, 9)]
+               + [zoo.flat_torus(2)])
+    above = [zoo.flat_torus(n) for n in range(3, 7)] + [zoo.equivariant_sphere3(),
+                                                         zoo.calabi_product(zoo.equivariant_sphere3())]
+    for entry in at_most + above:
+        spec, n = entry.spectrum, entry.chart.dim
+        assert all(isinstance(lam, Fraction) for lam in spec) and list(spec) == sorted(spec, reverse=True)
+        assert (sum(spec) + spec[1] <= n + 1) == (entry in at_most), entry.name
+        assert (entry.pinch <= n + 1) == (entry in at_most), entry.name
+
+
+def test_calabi_product_spectra_match_closed_forms():
+    # the Calabi torus values before they were derived from the spectrum, bit for bit
+    for n in range(2, 14):
+        entry = zoo.calabi_torus(n)
+        norm_b2 = (n - 1.0) * (n + 2.0) / n
+        assert entry.lambdas == (float(n - 1),) + tuple(2.0 / n for _ in range(n - 1))
+        assert entry.normB2 == norm_b2 and entry.pinch == float(n + 1)
+        assert entry.scalar == n * (n - 1.0) - norm_b2 and entry.gauss_rank == n
+    product = zoo.calabi_product(zoo.equivariant_sphere3())
+    assert product.spectrum == (Fraction(23, 6), Fraction(23, 6), Fraction(3), Fraction(1, 2))
+    assert product.normB2 == 67.0 / 6.0 and product.pinch == 15.0 and product.gauss_rank == 4
+
+
+@pytest.mark.parametrize("entry", [zoo.flat_torus(3), zoo.flat_torus(4), zoo.flat_torus(5),
+                                   zoo.calabi_product(zoo.equivariant_sphere3())],
+                         ids=lambda entry: entry.name)
+def test_generated_entries_verify(entry):
+    report = verify_chart(entry, GridSpec(points_per_dim=4))
+    assert report.passed, [c for c in report.checks if not c.passed]

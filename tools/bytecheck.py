@@ -42,7 +42,9 @@ The roster:
   ``--tol-geom 0 --tol-alg 0`` (legendrian, minimality, sigma_symmetry and
   scalar_curvature fail), and equivariant-s3 at grid 4 with ``--tol-alg 0``
   (the hard psd check and the soft simons check fail), so the pass and
-  ``hard`` logic of failing reports is pinned too.
+  ``hard`` logic of failing reports is pinned too;
+- ``verify --no-timing`` on the flat torus T^3 (``flat-torus --n 3``) at
+  grid 4, a generated entry outside the default roster.
 """
 
 from __future__ import annotations
@@ -101,6 +103,7 @@ ROSTER = (
     + [["verify", "--example", "calabi", "--n", "4", "--grid", "4", "--tol-geom", "0", "--tol-alg", "0",
         "--no-timing"],
        ["verify", "--example", "equivariant-s3", "--grid", "4", "--tol-alg", "0", "--no-timing"]]
+    + [["verify", "--no-timing", "--example", "flat-torus", "--n", "3", "--grid", "4", "--seed", "0"]]
 )
 
 
