@@ -210,9 +210,15 @@ def _sigma_from(frame: PointFrame, hess: np.ndarray) -> np.ndarray:
 
 
 def sigma_symmetry_defect(sigma: np.ndarray) -> float | np.ndarray:
-    """Max deviation of sigma from itself over all six index permutations."""
+    """Max deviation of sigma from itself over all six index permutations.
+
+    The three transpositions and one 3-cycle suffice: the other 3-cycle is the
+    inverse pi^-1 of the first, and max|sigma - sigma o pi^-1| is max|sigma o pi
+    - sigma| reindexed, the same differences negated, so the same maximum to
+    the bit.  The identity contributes 0.
+    """
     lead = tuple(range(sigma.ndim - 3))
-    perms = [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    perms = [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 1, 0)]
     return np.max([np.max(np.abs(sigma - np.transpose(sigma, lead + tuple(len(lead) + k for k in p))),
                           axis=(-3, -2, -1)) for p in perms], axis=0)
 
@@ -304,12 +310,16 @@ def simons_residual(sigma: np.ndarray) -> float:
 @dataclass(frozen=True)
 class PointData:
     """Frame, cubic form, fundamental matrix and spectrum at one chart point
-    (or a stack of points)."""
+    (or a stack of points), with the jets dF (jac) and d2F (hess) they were
+    built from, so that the curvature oracle can read them instead of
+    evaluating the same points again."""
 
     frame: PointFrame
     sigma: np.ndarray
     smatrix: np.ndarray
     spectrum: Spectrum
+    jac: np.ndarray
+    hess: np.ndarray
 
 
 def point_data(chart: ImmersionChart, u) -> PointData:
@@ -319,13 +329,14 @@ def point_data(chart: ImmersionChart, u) -> PointData:
     frame = _frame_from(u, f, jac)
     sigma = _sigma_from(frame, hess)
     smatrix = fundamental_matrix(sigma)
-    return PointData(frame=frame, sigma=sigma, smatrix=smatrix, spectrum=spectrum_of(smatrix))
+    return PointData(frame=frame, sigma=sigma, smatrix=smatrix, spectrum=spectrum_of(smatrix),
+                     jac=jac, hess=hess)
 
 
 # ---- intrinsic curvature oracle --------------------------------------------
 
 
-def scalar_curvature_intrinsic(chart: ImmersionChart, u) -> float | np.ndarray:
+def scalar_curvature_intrinsic(chart: ImmersionChart, u, jets=None) -> float | np.ndarray:
     """Scalar curvature from the induced metric and the jets alone, exact.
 
     By the Gauss formula for M in R^(2n+2), with h_ab the part of d2F_ab
@@ -343,9 +354,15 @@ def scalar_curvature_intrinsic(chart: ImmersionChart, u) -> float | np.ndarray:
     d2F against differences of dF at nearby points; derivative_cross_check
     does that.  u of shape (n,) gives a float; a stack of shape (N, n) gives
     shape (N,), from one batched jet evaluation.
+
+    jets = (dF, d2F), as chart.jet_eval(u) returns them, skips that
+    evaluation; verify_chart passes the jets its batched pass already holds
+    for the sample points (PointData.jac and .hess).  The oracle stays
+    independent: a point's jets have the same bits in any batch, so these are
+    the values it would compute itself, and it still reads no sigma, J or frame.
     """
     u = np.asarray(u, dtype=float)
-    _, jac, hess = chart.jet_eval(u)
+    jac, hess = chart.jet_eval(u)[1:] if jets is None else jets
     metric, _ = induced_metric(u, jac)
     ginv = np.linalg.inv(metric)
     batch, n = jac.shape[:-2], jac.shape[-1]

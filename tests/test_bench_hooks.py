@@ -13,6 +13,7 @@ import re
 from pathlib import Path
 
 import minleg.lu_inequality as lu
+from minleg import cli
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -55,3 +56,15 @@ def test_objective_gradient_calls_are_the_logged_steps(caplog):
     # the smallest restarts and seed whose restarts end at the ceiling, in the
     # line search and at a stall
     assert stats.exits["ceiling"] and stats.exits["step_underflow"] and stats.exits["stalled"]
+
+
+def test_spans_see_the_curvature_oracle(capsys):
+    # the per-layer metrics of point_data, the curvature oracle and the jets
+    # read these counts; verify on a one-box grid makes one call of each
+    spans = _load_spans()
+    with spans.Tracer(spans=False) as tracer:
+        assert cli.main(["verify", "--no-timing", "--example", "calabi", "--n", "2", "--grid", "4"]) == 0
+    capsys.readouterr()
+    assert tracer.counts["geometry.point_data"] == 1
+    assert tracer.counts["geometry.scalar_curvature_intrinsic"] == 1
+    assert tracer.counts["jets.jet_eval"] == 1

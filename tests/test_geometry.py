@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,10 @@ def _points(chart, count, seed=0):
 
 def _sigma(chart, u):
     return point_data(chart, u).sigma
+
+
+def _bits(x):
+    return np.atleast_1d(np.asarray(x, dtype=float)).view(np.uint64)
 
 
 # ---- containers ---------------------------------------------------------------
@@ -213,6 +219,31 @@ def test_sigma_symmetric_on_zoo():
         chart = entry.chart
         sig = _sigma(chart, _points(chart, 15, seed=6))
         assert np.all(sigma_symmetry_defect(sig) < 1e-9)
+
+
+def _symmetry_defect_all_six(sigma):
+    """The symmetry defect over all six index permutations, identity included."""
+    lead = tuple(range(sigma.ndim - 3))
+    return np.max([np.max(np.abs(sigma - np.transpose(sigma, lead + tuple(len(lead) + k for k in p))),
+                          axis=(-3, -2, -1)) for p in itertools.permutations(range(3))], axis=0)
+
+
+def test_sigma_symmetry_defect_matches_all_six_permutations():
+    # the two 3-cycles are inverse to each other and give the same maximum, so
+    # dropping one keeps every bit; random, symmetrized and near-symmetric
+    # tensors, stacks and single points, and the zoo's sigmas
+    rng = np.random.default_rng(11)
+    cases = []
+    for n in (1, 2, 3, 5, 8):
+        raw = rng.standard_normal((40, n, n, n))
+        sym = sum(np.transpose(raw, (0,) + tuple(1 + k for k in p)) for p in itertools.permutations(range(3))) / 6
+        near = sym + 1e-15 * rng.standard_normal(sym.shape)
+        cases += [raw, sym, near, raw[0], near[0]]
+    cases += [_sigma(entry.chart, _points(entry.chart, 15, seed=6)) for entry in ENTRIES]
+    for sigma in cases:
+        got = sigma_symmetry_defect(sigma)
+        assert np.shape(got) == sigma.shape[:-3]
+        assert np.array_equal(_bits(got), _bits(_symmetry_defect_all_six(sigma))), sigma.shape
 
 
 def test_minimality_and_legendrian_on_zoo():
@@ -487,6 +518,26 @@ def test_scalar_curvature_batched_matches_per_point():
         # jet_eval takes a stack of any leading batch shape, unflattened
         for part, flat in zip(chart.jet_eval(pts.reshape(4, 5, -1)), chart.jet_eval(pts)):
             assert np.array_equal(part, flat.reshape((4, 5) + flat.shape[1:])), entry.name
+
+
+def test_scalar_curvature_from_given_jets_is_bit_identical(monkeypatch):
+    # verify_chart hands the oracle the jets of its batched pass; given the jets
+    # of the same points, the oracle returns the bits it would compute itself,
+    # and evaluates nothing
+    def refuse(u):
+        raise AssertionError("the oracle evaluated jets it was given")
+
+    for entry in zoo.default_entries() + [zoo.calabi_torus(8)]:
+        chart = entry.chart
+        pts = _points(chart, 20, seed=7)
+        for u in (pts, pts[:1], pts[0]):
+            own = scalar_curvature_intrinsic(chart, u)
+            jets = chart.jet_eval(u)[1:]
+            with monkeypatch.context() as m:
+                m.setattr(chart, "jet_eval", refuse)
+                given = scalar_curvature_intrinsic(chart, u, jets=jets)
+            assert type(given) is type(own) and isinstance(given, float) == (u.ndim == 1), entry.name
+            assert np.array_equal(_bits(given), _bits(own)), (entry.name, u.shape)
 
 
 # Largest Gauss gap at verify's 20 sample points for grid seed 0, as measured

@@ -350,6 +350,30 @@ def test_sweep_chunk_size_invariant(monkeypatch):
         assert all(out == outputs[0] for out in outputs[1:]), entry.name
 
 
+def test_verify_evaluates_each_point_once(monkeypatch):
+    # the curvature oracle reads the jets of the batched pass, so verify_chart
+    # calls jet_eval once per box of its flat pass, on every row exactly once;
+    # with 13-point boxes the curvature samples straddle boxes
+    calls = []
+    jet_eval = ImmersionChart.jet_eval
+
+    def counted(self, u):
+        calls.append(len(u))
+        return jet_eval(self, u)
+
+    monkeypatch.setattr(ImmersionChart, "jet_eval", counted)
+    default = (verify.SWEEP_MIN_BATCH, verify.SWEEP_ENTRIES)
+    for entry in zoo.default_entries():
+        n = entry.chart.dim
+        rows = 4**n + 20 + (entry.simons_tol is not None)
+        for floor, entries in (default, (1, 13 * (2 * n + 2) * n * n)):
+            monkeypatch.setattr(verify, "SWEEP_MIN_BATCH", floor)
+            monkeypatch.setattr(verify, "SWEEP_ENTRIES", entries)
+            calls.clear()
+            verify_chart(entry, GridSpec(points_per_dim=4))
+            assert calls == _flat_batches(rows, n), entry.name
+
+
 def test_sweep_batch_rule():
     # a batch holds at most SWEEP_ENTRIES d2F entries, (2n+2) n^2 per point,
     # or the floor of 128 points, which n >= 8 keeps
