@@ -229,13 +229,27 @@ def canonical_extremal(n: int, k: int, mu: float = 1.0) -> MatrixFamily:
 # ---- extremal search ------------------------------------------------------
 
 
+# einsum sums a row of more than this many entries in pieces of this size when
+# its call holds more than one row, and whole when it holds one (numpy's fixed
+# NPY_BUFSIZE; np.setbufsize does not change it).
+EINSUM_PIECE = 8192
+
+
+def _squares(x: np.ndarray) -> np.ndarray:
+    """sum_k x[..., k]^2 along the last axis of a row (K,) or of a stack
+    (R, ..., K), each family r with the bits of the stack x[r:r+1] alone:
+    rows longer than EINSUM_PIECE are summed one family at a time."""
+    if x.ndim == 1 or x.shape[-1] <= EINSUM_PIECE:
+        return np.einsum("...k,...k->...", x, x)
+    return np.concatenate([np.einsum("...k,...k->...", f, f) for f in np.split(x, len(x))])
+
+
 def objective_value(mats: np.ndarray) -> np.ndarray:
     """Phi = sum_{a>=2} ||[A_1, A_a]||^2 of a family (m, n, n), or of each
     family in a stack (..., m, n, n); the sum runs along one flat row per family."""
     a1 = mats[..., :1, :, :]
     rest = mats[..., 1:, :, :]
-    c = (a1 @ rest - rest @ a1).reshape(*mats.shape[:-3], -1)
-    return np.einsum("...k,...k->...", c, c)
+    return _squares((a1 @ rest - rest @ a1).reshape(*mats.shape[:-3], -1))
 
 
 def objective_gradients(mats: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -275,8 +289,11 @@ def _retract(mats: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarra
         if i + 1 < m:
             d = np.add.reduce(w[:, i:] * wi[:, None], axis=2, keepdims=True)
             live = d[:, :1] > 0.0  # a family whose slot i vanished subtracts nothing
-            coef = np.divide(d[:, 1:], d[:, :1], out=np.zeros_like(d[:, 1:]), where=live)
-            np.subtract(w[:, i + 1 :], coef * wi[:, None], out=w[:, i + 1 :], where=live)
+            if live.all():
+                w[:, i + 1 :] -= d[:, 1:] / d[:, :1] * wi[:, None]
+            else:
+                coef = np.divide(d[:, 1:], d[:, :1], out=np.zeros_like(d[:, 1:]), where=live)
+                np.subtract(w[:, i + 1 :], coef * wi[:, None], out=w[:, i + 1 :], where=live)
     return w.reshape(mats.shape), nrm.min(axis=(1, 2)) > 1e-12
 
 
@@ -292,7 +309,7 @@ def _project_gradient(grad: np.ndarray, mats: np.ndarray) -> np.ndarray:
     r, m = mats.shape[:2]
     g = grad.reshape(r, m, -1)
     w = mats.reshape(r, m, -1)
-    norms2 = np.einsum("rak,rak->ra", w, w)
+    norms2 = _squares(w)
     inv = np.divide(1.0, norms2, out=np.zeros((r, m)), where=norms2 > 0.0)
     g -= ((g @ w.swapaxes(1, 2)) * inv[:, None, :]) @ w
     return grad
@@ -311,7 +328,13 @@ STALL_TOL = 1e-10
 # families: all 48 of lu search --n 4 --profile 1,1,1 --restarts 48 share one
 # group, and n = MAX_DIM runs one family at a time.  A stack of 2^16 doubles
 # is 512 KB; budgets of 2^12 to 2^14 were no faster at any n from 4 to 48.
+# A line-search round stacks at most max(rows searching, group) candidates.
 LOCKSTEP_ENTRIES = 2**16
+
+
+def _group_size(m: int, n: int) -> int:
+    """Families per lockstep group of (m, n, n) families."""
+    return max(1, LOCKSTEP_ENTRIES // (m * n * n))
 
 
 def _draw_start(rng: Random, m: int, n: int) -> np.ndarray:
@@ -321,22 +344,40 @@ def _draw_start(rng: Random, m: int, n: int) -> np.ndarray:
 
 
 def _search_group(
-    n: int, norms: np.ndarray, ceiling: float, rngs: Sequence[Random]
+    n: int, norms: np.ndarray, ceiling: float, rngs: Sequence[Random], tally: dict
 ) -> list[tuple[float, np.ndarray, str, int]]:
     """Restarts in lockstep, one per generator: (value, family, exit reason,
-    gradient steps) of each.
+    gradient steps) of each.  Adds the group's line-search rounds and
+    candidate families to tally["rounds"] and tally["candidates"].
 
     Each restart symmetrizes and retracts its drawn start, redrawing from its
     own generator while the start degenerates, then keeps its own value, step
     size, stall anchor and step count.  All restarts of the group start at
     the same iteration, and every active one takes one gradient step per
     iteration; the stacked retraction, projection and objective serve all of
-    them at once.  Every row goes through the same floating-point operations
-    in the same order as a restart run on its own, so its result does not
-    depend on the group it runs in.
+    them at once.
+
+    The backtracking line search (Armijo's rule, Nocedal and Wright, section
+    3.1) runs ahead in rounds: in each, a searching row with step s and width
+    w puts its next steps s, s/2, ..., s/2^(w-1) into one candidate stack,
+    stopping before any step below 1e-14, and takes the first that passes;
+    a row with none continues at s/2^w with its width doubled.  A row's width
+    in the first round of an iteration covers its first step down to the
+    step it accepted last (two steps, or one when that was STEP0, which the
+    doubling cannot pass), and as many halvings again as its last line search
+    needed; it is 1 on the first iteration.  A round stacks at most
+    max(rows searching, group) candidates, so no row is wider than
+    max(1, group // rows searching).
+
+    Every row goes through the same floating-point operations in the same
+    order as a restart run on its own, trying one step at a time: the
+    retraction and the objective act on each family alone, and halving a
+    step of at least 1e-14 is exact.  So its result does not depend on the
+    group it runs in or on the widths.
     """
     m = norms.size
     count = len(rngs)
+    group = _group_size(m, n)
     mats, ok = np.empty((count, m, n, n)), np.zeros(count, dtype=bool)
     for _ in range(64):  # draws per restart, at most
         redo = np.flatnonzero(~ok)
@@ -352,18 +393,20 @@ def _search_group(
     rows = np.arange(count)  # the restart of each active row
     anchor = value.copy()
     step = np.full(count, STEP0)
+    width = np.ones(count, dtype=int)  # candidates in a row's next round
     grads = np.empty_like(mats)  # its leading rows hold the gradients of the active rows
     results = [None] * count
 
     def retire(mask, reason, taken):
         """Record the rows in mask as exited, and drop them from the group."""
-        nonlocal rows, mats, value, anchor, step
+        nonlocal rows, mats, value, anchor, step, width
         if not mask.any():
             return
         for j in np.flatnonzero(mask):
             results[rows[j]] = (float(value[j]), mats[j].copy(), reason, taken)
         keep = ~mask
-        rows, mats, value, anchor, step = rows[keep], mats[keep], value[keep], anchor[keep], step[keep]
+        rows, mats, value, anchor, step, width = (
+            rows[keep], mats[keep], value[keep], anchor[keep], step[keep], width[keep])
 
     for it in range(MAX_ITERS):
         retire(ceiling - value <= reached, "ceiling", it)
@@ -378,28 +421,43 @@ def _search_group(
             objective_gradients(fam, out=proj[j])
         _project_gradient(proj, mats)
         flat = proj.reshape(rows.size, -1)
-        gnorm2 = np.einsum("rk,rk->r", flat, flat)
+        gnorm2 = _squares(flat)
         small = np.sqrt(gnorm2) < GRAD_TOL
         step = np.minimum(2.0 * step, STEP0)
-        under = np.zeros(rows.size, dtype=bool)
+        halved = np.zeros(rows.size, dtype=int)  # halvings of each row's step in this line search
         search = np.flatnonzero(~small)  # the rows still in the line search
         while search.size:
-            s = step[search]
+            k = np.minimum(width[search], max(1, group // search.size))
+            ahead = np.arange(k.max())
+            steps = step[search, None] * 0.5**ahead
+            tries = (ahead < k[:, None]) & (steps >= 1e-14)  # a prefix of each row
+            row = search[np.nonzero(tries)[0]]
+            s = steps[tries]
             # s * proj + mats, with the bits of mats + s * proj, built in the gathered copy of proj
-            cand = proj[search]
+            cand = proj[row]
             cand *= s[:, None, None, None]
-            cand += mats[search]
+            cand += mats[row]
             cand, ok = _retract(cand, norms)
             cand_value = objective_value(cand)
-            ok &= cand_value >= value[search] + ARMIJO * s * gnorm2[search]
-            mats[search[ok]], value[search[ok]] = cand[ok], cand_value[ok]
-            search = search[~ok]
-            step[search] *= 0.5
-            low = step[search] < 1e-14
-            under[search[low]] = True
-            search = search[~low]
+            ok &= cand_value >= value[row] + ARMIJO * s * gnorm2[row]
+            tally["rounds"] += 1
+            tally["candidates"] += s.size
+            passed = np.zeros_like(tries)
+            passed[tries] = ok
+            first = passed.argmax(axis=1)  # each row's first passing step, if it has one
+            hit = passed[np.arange(search.size), first]
+            tried = tries.sum(axis=1)
+            pick = (np.cumsum(tried) - tried + first)[hit]  # where those steps sit in the stack
+            done = search[hit]
+            mats[done], value[done], step[done] = cand[pick], cand_value[pick], s[pick]
+            width[done] = halved[done] + first[hit] + 1 + (s[pick] < STEP0)
+            search, k = search[~hit], k[~hit]
+            step[search] *= 0.5**k  # below 1e-14 once a row has no step left to try
+            halved[search] += k
+            width[search] *= 2
+            search = search[step[search] >= 1e-14]
         retire(small, "grad_tol", it + 1)
-        retire(under[~small], "step_underflow", it + 1)
+        retire(step < 1e-14, "step_underflow", it + 1)
     retire(np.ones(rows.size, dtype=bool), "max_iters", MAX_ITERS)
     return results
 
@@ -413,6 +471,8 @@ class SearchStats:
 
     exits: dict  # restarts per exit reason, in EXIT_REASONS order
     steps: int  # gradient steps over all restarts
+    rounds: int  # line-search rounds over all groups
+    candidates: int  # candidate families those rounds retracted
 
 
 def extremal_search(
@@ -426,8 +486,9 @@ def extremal_search(
     floating-point steps as it would alone, so every restart is reproducible
     bit for bit on its own, whatever group it runs in.
     Returns the best value and family over all restarts (ties resolved by
-    lowest restart index) and the SearchStats of the run.  Logs the stats at
-    INFO, with the distinct final values (9 significant digits) of the
+    lowest restart index) and the SearchStats of the run.  Logs the stats
+    (exits, gradient steps, line-search rounds and their candidate families)
+    at INFO, with the distinct final values (9 significant digits) of the
     restarts short of the ceiling, and a WARNING when any restart ran out of
     iterations.  The search runs at the profile divided by its largest entry
     p, and returns the tail scaled back by p and the value by p^2, so the
@@ -463,22 +524,23 @@ def extremal_search(
     exits = dict.fromkeys(EXIT_REASONS, 0)
     steps = 0
     levels = set()
-    group = max(1, LOCKSTEP_ENTRIES // (norms.size * n * n))
+    tally = {"rounds": 0, "candidates": 0}
+    group = _group_size(norms.size, n)
     for first in range(0, restarts, group):
         rngs = [seeded_random(seed, r) for r in range(first, min(first + group, restarts))]
-        for value, mats, reason, taken in _search_group(n, norms, ceiling, rngs):
+        for value, mats, reason, taken in _search_group(n, norms, ceiling, rngs, tally):
             exits[reason] += 1
             steps += taken
             if reason != "ceiling":
                 levels.add(f"{value * scale * scale:.9g}")
             if value > best_value:
                 best_value, best_mats = value, mats
-    stats = SearchStats(exits=exits, steps=steps)
+    stats = SearchStats(exits=exits, steps=steps, **tally)
     log.info(
         "extremal search n=%d: %d restarts, %d gradient steps, exits %s, "
-        "final values below the bound: %s",
+        "%d line-search rounds of %d candidate families, final values below the bound: %s",
         n, restarts, steps, " ".join(f"{k}={v}" for k, v in exits.items()),
-        " ".join(sorted(levels, key=float)) or "none",
+        stats.rounds, stats.candidates, " ".join(sorted(levels, key=float)) or "none",
     )
     if exits["max_iters"]:
         log.warning(

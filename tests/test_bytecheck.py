@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import re
 from pathlib import Path
 
 from minleg.lu_inequality import canonical_extremal, family_to_text
@@ -30,3 +31,9 @@ def test_bytecheck_manifest_lines():
     # lu check reads the unit family as written, so it prints what lu extremal printed
     assert len(out) == 64 and out == out2
     assert len(bytecheck.ROSTER) == 64
+
+
+def test_readme_states_the_roster_size():
+    readme = (BYTECHECK.parents[1] / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"every\s+subcommand,\s+(\d+)\s+lines", readme)
+    assert stated == [str(len(_load_bytecheck().ROSTER))]

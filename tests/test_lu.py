@@ -637,8 +637,8 @@ def _lockstep_outcomes(monkeypatch, n, profile, restarts, seed, families=None):
     outcomes, sizes, inputs = [], [], []
     group = lu._search_group
 
-    def recording(n, norms, ceiling, rngs):
-        results = group(n, norms, ceiling, rngs)
+    def recording(n, norms, ceiling, rngs, tally):
+        results = group(n, norms, ceiling, rngs, tally)
         outcomes.extend(_outcome(*result) for result in results)
         sizes.append(len(rngs))
         inputs.append((norms, ceiling))
@@ -710,6 +710,68 @@ def test_lockstep_bytes_do_not_depend_on_the_group(monkeypatch):
     for families, expected in ((1, [1] * 12), (2, [2] * 6), (5, [5, 5, 2])):
         capped, sizes, _ = _lockstep_outcomes(monkeypatch, 4, (1.0, 1.0, 1.0), 12, 5, families)
         assert sizes == expected and capped == outcomes, families
+    # rows that an einsum over more than one row sums in pieces: the
+    # commutators at n = 64 (3 n^2 entries), the gradients at n = 96 (2 n^2)
+    assert 2 * 96**2 > 3 * 64**2 > lu.EINSUM_PIECE
+    for n, profile, group in ((64, (1.0, 1.0, 1.0), 4), (96, (1.0,), 3)):
+        outcomes, sizes, _ = _lockstep_outcomes(monkeypatch, n, profile, group, 7)
+        assert sizes == [group], n
+        capped, sizes, _ = _lockstep_outcomes(monkeypatch, n, profile, group, 7, 1)
+        assert sizes == [1] * group and capped == outcomes, n
+
+
+# ---- the look-ahead line search ----------------------------------------------
+
+
+def _retract_sizes(monkeypatch):
+    """Record the number of families of every _retract stack."""
+    sizes, retract = [], lu._retract
+
+    def recording(mats, norms):
+        sizes.append(len(mats))
+        return retract(mats, norms)
+
+    monkeypatch.setattr(lu, "_retract", recording)
+    return sizes
+
+
+def test_look_ahead_retracts_the_serial_candidates_when_every_step_fails(monkeypatch, caplog):
+    # no step passes Armijo's test, so every line search runs from STEP0 down
+    # to its last step of at least 1e-14, and the restart exits there
+    monkeypatch.setattr(lu, "ARMIJO", math.inf)
+    outcomes, sizes, (norms, ceiling) = _lockstep_outcomes(monkeypatch, 3, (1.0, 0.5), 3, 1)
+    assert outcomes == _serial_outcomes(3, norms, ceiling, 3, 1)
+    assert {reason for _, _, reason, _ in outcomes} == {"step_underflow"}
+    serial = sum(lu.STEP0 * 0.5**k >= 1e-14 for k in range(64))
+    assert serial == 44
+    sizes = _retract_sizes(monkeypatch)
+    with caplog.at_level(logging.INFO, logger="minleg.lu_inequality"):
+        _, _, stats = extremal_search(3, (1.0, 0.5), restarts=1, seed=1)
+    rounds = sizes[1:]  # after the start's retraction
+    assert len(rounds) == stats.rounds <= 7
+    assert sum(rounds) == stats.candidates == serial
+    info, _ = _search_logs(caplog)
+    assert f"{stats.rounds} line-search rounds of 44 candidate families" in info[0]
+
+
+def test_look_ahead_stays_inside_the_group_budget(monkeypatch):
+    # capped at one or two families a group, no round stacks more candidates
+    # than that, and a cap of one is the one-step-at-a-time loop
+    outcomes, _, _ = _lockstep_outcomes(monkeypatch, 4, (1.0, 1.0, 1.0), 6, 5)
+    for families in (1, 2):
+        with monkeypatch.context() as patch:
+            sizes = _retract_sizes(patch)
+            capped, groups, _ = _lockstep_outcomes(patch, 4, (1.0, 1.0, 1.0), 6, 5, families)
+        assert groups == [families] * (6 // families) and capped == outcomes
+        assert max(sizes) == families, families
+
+
+def test_look_ahead_cuts_the_benchmark_rounds(monkeypatch):
+    # the benchmark's search; one candidate per round made 1,350 _retract calls
+    sizes = _retract_sizes(monkeypatch)
+    _, _, stats = extremal_search(4, (1.0, 1.0, 1.0), restarts=48, seed=7)
+    assert len(sizes) < 800
+    assert stats.rounds == len(sizes) - 1 and stats.candidates == sum(sizes) - 48
 
 
 # ---- serialization -------------------------------------------------------------
