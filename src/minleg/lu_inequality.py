@@ -289,11 +289,8 @@ def _retract(mats: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarra
         if i + 1 < m:
             d = np.add.reduce(w[:, i:] * wi[:, None], axis=2, keepdims=True)
             live = d[:, :1] > 0.0  # a family whose slot i vanished subtracts nothing
-            if live.all():
-                w[:, i + 1 :] -= d[:, 1:] / d[:, :1] * wi[:, None]
-            else:
-                coef = np.divide(d[:, 1:], d[:, :1], out=np.zeros_like(d[:, 1:]), where=live)
-                np.subtract(w[:, i + 1 :], coef * wi[:, None], out=w[:, i + 1 :], where=live)
+            coef = np.divide(d[:, 1:], d[:, :1], out=np.zeros_like(d[:, 1:]), where=live)
+            np.subtract(w[:, i + 1 :], coef * wi[:, None], out=w[:, i + 1 :], where=live)
     return w.reshape(mats.shape), nrm.min(axis=(1, 2)) > 1e-12
 
 

@@ -720,6 +720,19 @@ def test_lockstep_bytes_do_not_depend_on_the_group(monkeypatch):
         assert sizes == [1] * group and capped == outcomes, n
 
 
+@pytest.mark.parametrize("k", [lu.EINSUM_PIECE, lu.EINSUM_PIECE + 1, 3 * lu.EINSUM_PIECE])
+def test_squares_gives_each_row_its_bits_alone(k):
+    # rows of EINSUM_PIECE entries take one stacked einsum, so this fails if
+    # numpy ever sums a stacked row in pieces smaller than EINSUM_PIECE
+    rng = np.random.default_rng(k)
+    for shape in ((40, k), (8, 3, k)):
+        x = rng.standard_normal(shape)
+        alone = np.stack([np.einsum("...k,...k->...", x[r : r + 1], x[r : r + 1])[0] for r in range(len(x))])
+        assert np.array_equal(lu._squares(x), alone), shape
+        if len(shape) == 2:  # the one-row form that objective_value takes for a single family
+            assert [lu._squares(row) for row in x] == list(alone)
+
+
 # ---- the look-ahead line search ----------------------------------------------
 
 
