@@ -26,13 +26,19 @@ from typing import Sequence
 import numpy as np
 
 from . import MinlegError, NumericalFailure, seeded_random
-from .symmat import commutator, frobenius_inner, frobenius_norm, symmetrize
+from .symmat import symmetrize
 
 log = logging.getLogger(__name__)
 
 ORTHOGONALITY_TOL = 1e-10
 NORM_ORDER_SLACK = 1e-10
 MAX_DIM = 256  # largest n of a built family: lu extremal at n = 256 peaks near 290 MB
+
+
+def _squares(x: np.ndarray) -> np.ndarray:
+    """sum_k x[..., k]^2 along the last axis.  np.add.reduce sums each row
+    on its own, so every row of a stack gets the bits of that row alone."""
+    return np.add.reduce(x * x, axis=-1)
 
 
 class FamilyValidationError(MinlegError, ValueError):
@@ -60,8 +66,9 @@ class MatrixFamily:
             raise FamilyValidationError("matrix entries must be finite")
         if np.max(np.abs(mats - np.transpose(mats, (0, 2, 1)))) > 0.0:
             raise FamilyValidationError("matrices must be exactly symmetric (use symmetrize)")
+        flat = mats.reshape(m, -1)
         with np.errstate(over="ignore"):
-            norms2 = np.einsum("aij,aij->a", mats, mats)
+            norms2 = _squares(flat)
             bound = _bound(norms2)
         if not (np.all(np.isfinite(norms2)) and math.isfinite(bound)):
             raise FamilyValidationError("squared norms overflow: ||A_a||^2 and the bound must be finite")
@@ -72,7 +79,6 @@ class MatrixFamily:
             raise FamilyValidationError("norms of A_2.. must be descending")
         # |<A_a, A_b>| is measured relative to ||A_a|| ||A_b|| once that exceeds 1,
         # so the test does not tighten as the norm profile grows
-        flat = mats.reshape(m, -1)
         gram = flat @ flat.T
         off = np.abs(gram - np.diag(np.diag(gram)))
         if np.any(off > ORTHOGONALITY_TOL * np.maximum(1.0, np.outer(norms, norms))):
@@ -118,16 +124,17 @@ def normalize_family(raw: Sequence[np.ndarray]) -> MatrixFamily:
     # only rounds the tail again.  Dividing by 2^e first, e the binary
     # exponent of max |A_1|, is exact and keeps ||A_1||^2 finite.
     with np.errstate(over="ignore"):
-        stack = np.stack(mats)
-        if abs(np.sqrt(np.einsum("aij,aij->a", stack, stack)[0]) - 1.0) > 4.0 * np.finfo(float).eps:
-            _, e = np.frexp(np.max(np.abs(stack[0])))
-            lead_norm = frobenius_norm(np.ldexp(stack[0], -e))
+        flat = np.stack(mats).reshape(len(mats), n * n)
+        if abs(np.sqrt(_squares(flat[0])) - 1.0) > 4.0 * np.finfo(float).eps:
+            _, e = np.frexp(np.max(np.abs(flat[0])))
+            flat = np.ldexp(flat, -e)
+            lead_norm = np.sqrt(_squares(flat[0]))
             if lead_norm == 0.0:
                 raise FamilyValidationError("A_1 must be nonzero")
-            stack = np.ldexp(stack, -e) / lead_norm
-        order = np.argsort(-np.sqrt(np.einsum("aij,aij->a", stack[1:], stack[1:])), kind="stable")
-    stack[1:] = stack[1:][order]
-    return MatrixFamily(n=n, mats=stack)
+            flat /= lead_norm
+        order = np.argsort(-np.sqrt(_squares(flat[1:])), kind="stable")
+    flat[1:] = flat[1:][order]
+    return MatrixFamily(n=n, mats=flat.reshape(-1, n, n))
 
 
 def _bound(norms2: np.ndarray) -> float:
@@ -140,14 +147,13 @@ def _lhs(a1: np.ndarray, tail: Sequence[np.ndarray]) -> float:
     lhs = 0.0
     with np.errstate(over="ignore"):
         for a in tail:
-            c = commutator(a1, a)
-            lhs += frobenius_inner(c, c)
+            lhs += float(_squares((a1 @ a - a @ a1).ravel()))
     return lhs
 
 
 def lu_bound(fam: MatrixFamily) -> float:
     """Right-hand side ||A_2||^2 + sum_{a>=2} ||A_a||^2 (zero for m = 1)."""
-    return _bound(np.einsum("aij,aij->a", fam.mats, fam.mats))
+    return _bound(_squares(fam.mats.reshape(fam.m, -1)))
 
 
 def lu_check(fam: MatrixFamily) -> LuReport:
@@ -229,21 +235,6 @@ def canonical_extremal(n: int, k: int, mu: float = 1.0) -> MatrixFamily:
 # ---- extremal search ------------------------------------------------------
 
 
-# einsum sums a row of more than this many entries in pieces of this size when
-# its call holds more than one row, and whole when it holds one (numpy's fixed
-# NPY_BUFSIZE; np.setbufsize does not change it).
-EINSUM_PIECE = 8192
-
-
-def _squares(x: np.ndarray) -> np.ndarray:
-    """sum_k x[..., k]^2 along the last axis of a row (K,) or of a stack
-    (R, ..., K), each family r with the bits of the stack x[r:r+1] alone:
-    rows longer than EINSUM_PIECE are summed one family at a time."""
-    if x.ndim == 1 or x.shape[-1] <= EINSUM_PIECE:
-        return np.einsum("...k,...k->...", x, x)
-    return np.concatenate([np.einsum("...k,...k->...", f, f) for f in np.split(x, len(x))])
-
-
 def objective_value(mats: np.ndarray) -> np.ndarray:
     """Phi = sum_{a>=2} ||[A_1, A_a]||^2 of a family (m, n, n), or of each
     family in a stack (..., m, n, n); the sum runs along one flat row per family."""
@@ -283,7 +274,7 @@ def _retract(mats: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarra
         if norms[i] == 0.0:
             wi.fill(0.0)
             continue
-        np.sqrt(np.add.reduce(wi * wi, axis=1, keepdims=True), out=nrm[:, i])
+        np.sqrt(_squares(wi), out=nrm[:, i, 0])
         # a degenerate slot is scaled as if its norm were 1e-12, which keeps it finite
         wi *= norms[i] / np.maximum(nrm[:, i], 1e-12)
         if i + 1 < m:

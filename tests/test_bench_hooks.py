@@ -49,7 +49,7 @@ def test_objective_gradient_calls_are_the_logged_steps(caplog):
     spans = _load_spans()
     with caplog.at_level(logging.INFO, logger="minleg.lu_inequality"):
         with spans.Tracer(spans=False) as tracer:
-            _, _, stats = lu.extremal_search(4, (1.0, 1.0, 1.0), restarts=3, seed=5)
+            _, _, stats = lu.extremal_search(4, (1.0, 1.0, 1.0), restarts=3, seed=39)
     logged = [int(m.group(1)) for m in re.finditer(r"(\d+) gradient steps", caplog.text)]
     assert logged == [stats.steps]
     assert tracer.counts["lu_inequality.objective_gradients"] == stats.steps

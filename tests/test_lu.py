@@ -22,7 +22,7 @@ from minleg.lu_inequality import (
 )
 
 from minleg import seeded_random
-from minleg.symmat import symmetrize
+from minleg.symmat import commutator, frobenius_inner, symmetrize
 
 from _helpers import random_orthogonal, random_orthogonal_family, random_symmetric
 
@@ -168,6 +168,28 @@ def test_canonical_extremal_structure():
         canonical_extremal(3, 0)
     with pytest.raises(ValueError):
         canonical_extremal(3, 3)
+
+
+def _old_lhs(fam):
+    """sum_{a>=2} ||[A_1, A_a]||^2 as symmat's inner product sums it, in index order."""
+    lhs = 0.0
+    for a in fam.mats[1:]:
+        c = commutator(fam.mats[0], a)
+        lhs += frobenius_inner(c, c)
+    return lhs
+
+
+def test_lu_check_sums_as_the_symmat_form():
+    # lu_check's row sums against symmat's inner product, bit for bit
+    canonical = [canonical_extremal(n, k, mu)
+                 for n in range(2, 13) for k in range(1, n) for mu in (1e-3, 1.0, 1e6)]
+    rng = np.random.default_rng(2626)
+    drawn = [random_orthogonal_family(rng, int(rng.integers(2, 13))) for _ in range(200)]
+    for fam in canonical + drawn:
+        assert np.float64(lu_check(fam).lhs).tobytes() == np.float64(_old_lhs(fam)).tobytes()
+    for fam in canonical:
+        norms2 = np.einsum("aij,aij->a", fam.mats, fam.mats)
+        assert lu_bound(fam) == float(norms2[1:2].sum() + norms2[1:].sum())
 
 
 def test_slack_nonnegative_fuzz():
@@ -572,14 +594,14 @@ def test_project_gradient_matches_reference():
 def _serial_value(mats):
     a1 = mats[0]
     c = a1 @ mats[1:] - mats[1:] @ a1
-    return float(np.einsum("aij,aij->", c, c))
+    return float(np.add.reduce((c * c).ravel()))
 
 
 def _serial_project(grad, mats):
     m = mats.shape[0]
     g = grad.reshape(m, -1)
     w = mats.reshape(m, -1)
-    norms2 = np.einsum("ak,ak->a", w, w)
+    norms2 = np.add.reduce(w * w, axis=-1)
     inv = np.divide(1.0, norms2, out=np.zeros(m), where=norms2 > 0.0)
     g -= ((g @ w.T) * inv) @ w
     return grad
@@ -610,7 +632,7 @@ def _serial_restart(n, norms, ceiling, rng):
                 return value, mats, "stalled", it
             anchor = value
         proj = _serial_project(lu.objective_gradients(mats), mats)
-        gnorm2 = float(np.einsum("aij,aij->", proj, proj))
+        gnorm2 = float(np.add.reduce((proj * proj).ravel()))
         if math.sqrt(gnorm2) < lu.GRAD_TOL:
             return value, mats, "grad_tol", it + 1
         step = min(2.0 * step, lu.STEP0)
@@ -710,9 +732,8 @@ def test_lockstep_bytes_do_not_depend_on_the_group(monkeypatch):
     for families, expected in ((1, [1] * 12), (2, [2] * 6), (5, [5, 5, 2])):
         capped, sizes, _ = _lockstep_outcomes(monkeypatch, 4, (1.0, 1.0, 1.0), 12, 5, families)
         assert sizes == expected and capped == outcomes, families
-    # rows that an einsum over more than one row sums in pieces: the
-    # commutators at n = 64 (3 n^2 entries), the gradients at n = 96 (2 n^2)
-    assert 2 * 96**2 > 3 * 64**2 > lu.EINSUM_PIECE
+    # stacked rows longer than numpy's 8,192-entry buffer: the commutators
+    # at n = 64 (3 n^2 entries), the gradients at n = 96 (2 n^2)
     for n, profile, group in ((64, (1.0, 1.0, 1.0), 4), (96, (1.0,), 3)):
         outcomes, sizes, _ = _lockstep_outcomes(monkeypatch, n, profile, group, 7)
         assert sizes == [group], n
@@ -720,17 +741,23 @@ def test_lockstep_bytes_do_not_depend_on_the_group(monkeypatch):
         assert sizes == [1] * group and capped == outcomes, n
 
 
-@pytest.mark.parametrize("k", [lu.EINSUM_PIECE, lu.EINSUM_PIECE + 1, 3 * lu.EINSUM_PIECE])
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 48, 64, 8192, 8193, 24576])
 def test_squares_gives_each_row_its_bits_alone(k):
-    # rows of EINSUM_PIECE entries take one stacked einsum, so this fails if
-    # numpy ever sums a stacked row in pieces smaller than EINSUM_PIECE
+    # short rows, the edges of numpy's 8-wide unrolled sums, the commutator
+    # and gradient rows of the benchmark's search (48 and 64 entries), and
+    # rows longer than numpy's 8,192-entry buffer: each row of a stack sums
+    # to the bits of the one-row call that a single family takes
     rng = np.random.default_rng(k)
-    for shape in ((40, k), (8, 3, k)):
-        x = rng.standard_normal(shape)
-        alone = np.stack([np.einsum("...k,...k->...", x[r : r + 1], x[r : r + 1])[0] for r in range(len(x))])
-        assert np.array_equal(lu._squares(x), alone), shape
-        if len(shape) == 2:  # the one-row form that objective_value takes for a single family
-            assert [lu._squares(row) for row in x] == list(alone)
+
+    def alone(rows):
+        return np.stack([lu._squares(row) for row in rows]).tobytes()
+
+    x = rng.standard_normal((40, k))
+    assert lu._squares(x).tobytes() == alone(x) == alone(x[:, None])
+    w = rng.standard_normal((8, 3, k))
+    assert lu._squares(w).tobytes() == alone(w.reshape(-1, k))
+    for i in range(3):  # the strided slot view that _retract reduces
+        assert lu._squares(w[:, i]).tobytes() == alone(w[:, i])
 
 
 # ---- the look-ahead line search ----------------------------------------------

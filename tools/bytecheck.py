@@ -25,8 +25,11 @@ The roster:
 - ``lu search --n 4 --profile 1,1,1 --restarts 48 --out`` at seeds 3 and 7,
   and ``lu search --restarts 12 --seed 7 --out`` at n=2 profile 1, n=3
   profiles 1,0.5 and 1e3,1, and n=4 profile 1,0,0 (zero and scaled tails),
-  and ``lu search --n 128 --profile 1,1,1 --restarts 1 --seed 7 --out``, a
-  group of one family at large n, which updates its state in place;
+  ``lu search --n 128 --profile 1,1,1 --restarts 1 --seed 7 --out``, a
+  group of one family at large n, which updates its state in place, and
+  ``lu search --n 64 --profile 1,1,1 --restarts 4 --seed 7 --out``, a group of
+  four families whose rows hold 12,288 entries, more than numpy's
+  8,192-entry buffer;
 - the ``integral`` and ``scan --quantity pinch`` lines of the benchmark's
   ``sweep`` workload (equivariant-s3 at grid 10, calabi n=4 at grid 5), and
   ``integral --example calabi --n 4`` at the default grid, which spans many
@@ -90,7 +93,9 @@ ROSTER = (
         "--out", f"{{dir}}/search-p{i}.json"]
        for i, (n, profile) in enumerate((("2", "1"), ("3", "1,0.5"), ("4", "1,0,0"), ("3", "1e3,1")))]
     + [["lu", "search", "--n", "128", "--profile", "1,1,1", "--restarts", "1", "--seed", "7",
-        "--out", "{dir}/search-n128.json"]]
+        "--out", "{dir}/search-n128.json"],
+       ["lu", "search", "--n", "64", "--profile", "1,1,1", "--restarts", "4", "--seed", "7",
+        "--out", "{dir}/search-n64.json"]]
     + [[cmd, *ex, "--grid", grid, "--seed", "7", *extra]
        for ex, grid in ((["--example", "equivariant-s3"], "10"), (["--example", "calabi", "--n", "4"], "5"))
        for cmd, extra in (("integral", ()), ("scan", ("--quantity", "pinch")))]
