@@ -163,13 +163,70 @@ def _t(x):
     return x.swapaxes(-1, -2)
 
 
+def _contiguous_t(x):
+    """Transpose of each matrix in a stack as a contiguous copy.  A stacked
+    product with one operand the strided view _t gives runs two to three times
+    as long as on this copy, the copy included."""
+    return np.ascontiguousarray(_t(x))
+
+
+def _cholesky(u, metric) -> tuple[np.ndarray, np.ndarray]:
+    """(L, diag L) with G = L L^T for each matrix G in a stack, one column at a time.
+
+    Column j is L_ij = (G_ij - sum_k<j L_ik L_jk) / L_jj for i >= j, with its sums
+    as one np.add.reduce over the batch and L_jj the square root of the pivot
+    G_jj - sum_k<j L_jk^2.  A pivot that is not > 0, NaN included, raises before
+    any square root is taken, so no point of the batch warns.
+    """
+    n = metric.shape[-1]
+    chol = np.zeros(metric.shape)
+    diag = np.empty(metric.shape[:-1])
+    for j in range(n):
+        col = metric[..., j:, j]
+        if j:
+            col = col - np.add.reduce(chol[..., j:, :j] * chol[..., j:j + 1, :j], axis=-1)
+        bad = ~(col[..., 0] > 0.0)
+        if np.any(bad):
+            raise DegeneratePointError(f"metric not positive definite at u = {u[bad][0].tolist()}")
+        diag[..., j] = chol[..., j, j] = np.sqrt(col[..., 0])
+        chol[..., j + 1:, j] = col[..., 1:] / diag[..., j, None]
+    return chol, diag
+
+
+def _lower_inverse(chol, diag) -> np.ndarray:
+    """a = L^-1 by forward substitution, one row at a time:
+    a_ij = -(sum_k<i L_ik a_kj) / L_ii for j < i, and a_ii = 1 / L_ii."""
+    n = chol.shape[-1]
+    a = np.zeros(chol.shape)
+    for i in range(n):
+        a[..., i, i] = 1.0 / diag[..., i]
+        if i:
+            a[..., i, :i] = np.add.reduce(chol[..., i, :i, None] * a[..., :i, :i], axis=-2) / -diag[..., i, None]
+    return a
+
+
+def metric_factor(u, jac) -> tuple[np.ndarray, ...]:
+    """(dF^T, G, a, vol) of the coordinate tangents jac, shape B + (2n+2, n).
+
+    dF^T is a contiguous copy, G = dF^T dF the metric, and, from its Cholesky
+    factor G = L L^T, a = L^-1 and vol = prod diag L = sqrt(det G).  This is the
+    one check on the metric: a pivot not > 0 means "metric not positive
+    definite", and L_ii <= DEGENERACY_TOL (1 + |dF_i|), tangent i all but in the
+    span of those before it, means "coordinate tangents degenerate".
+    """
+    tangents = _contiguous_t(jac)
+    metric = tangents @ jac
+    chol, diag = _cholesky(u, metric)
+    bad = np.any(diag <= DEGENERACY_TOL * (1.0 + np.sqrt(np.einsum("...ii->...i", metric))), axis=-1)
+    if np.any(bad):
+        raise DegeneratePointError(f"coordinate tangents degenerate at u = {u[bad][0].tolist()}")
+    return tangents, metric, _lower_inverse(chol, diag), np.multiply.reduce(diag, axis=-1)
+
+
 def induced_metric(u, jac) -> tuple[np.ndarray, np.ndarray]:
     """(G, sqrt(det G)) of the coordinate tangents jac, shape B + (2n+2, n)."""
-    metric = _t(jac) @ jac
-    det = np.linalg.det(metric)
-    if np.any(det <= 0.0):
-        raise DegeneratePointError(f"metric not positive definite at u = {u[det <= 0.0][0].tolist()}")
-    return metric, np.sqrt(det)
+    _, metric, _, vol = metric_factor(u, jac)
+    return metric, vol
 
 
 def _frame_from(u, f, jac) -> PointFrame:
@@ -180,18 +237,8 @@ def _frame_from(u, f, jac) -> PointFrame:
     the unit roundoff times cond(D^-1 G D^-1), D = diag(G)^1/2; over the zoo's sample
     and grid points it stays at 1e-15 or less.
     """
-    metric, vol = induced_metric(u, jac)
-    try:
-        chol = np.linalg.cholesky(metric)
-    except np.linalg.LinAlgError:  # det G > 0, yet G is not positive definite in floating point
-        worst = u.reshape(-1, u.shape[-1])[np.argmin(np.linalg.eigvalsh(metric)[..., 0])]
-        raise DegeneratePointError(f"metric not positive definite at u = {worst.tolist()}") from None
-    lengths, norms = np.einsum("...ii->...i", chol), np.sqrt(np.einsum("...ii->...i", metric))
-    bad = np.any(lengths <= DEGENERACY_TOL * (1.0 + norms), axis=-1)
-    if np.any(bad):
-        raise DegeneratePointError(f"coordinate tangents degenerate at u = {u[bad][0].tolist()}")
-    a = np.linalg.inv(chol)
-    return PointFrame(F=f, e=a @ _t(jac), a=a, metric=metric, vol=vol)
+    tangents, metric, a, vol = metric_factor(u, jac)
+    return PointFrame(F=f, e=a @ tangents, a=a, metric=metric, vol=vol)
 
 
 def _sigma_from(frame: PointFrame, hess: np.ndarray) -> np.ndarray:
@@ -202,7 +249,9 @@ def _sigma_from(frame: PointFrame, hess: np.ndarray) -> np.ndarray:
     passes for the same frame.
     """
     # Contractions as stacked matrix products: m_stk = <d2F_st, J e_k>, then
-    # sigma_ijk = sum_s a_is sum_t a_jt m_stk.
+    # sigma_ijk = sum_s a_is sum_t a_jt m_stk.  The first product takes both
+    # operands as views, which BLAS reads transposed as fast as contiguous
+    # ones; a contiguous copy of either costs more than it saves.
     batch, n = hess.shape[:-3], hess.shape[-1]
     m = _t(hess.reshape(batch + (-1, n * n))) @ _t(apply_J(frame.e))
     m = frame.a[..., None, :, :] @ m.reshape(batch + (n, n, n))
@@ -239,7 +288,7 @@ def legendrian_residual(frame: PointFrame) -> float | np.ndarray:
 def fundamental_matrix(sigma: np.ndarray) -> np.ndarray:
     """S_lj = sum_ts sigma_tsl sigma_tsj (symmetric PSD by construction)."""
     flat = sigma.reshape(sigma.shape[:-3] + (-1, sigma.shape[-1]))
-    s = _t(flat) @ flat
+    s = _contiguous_t(flat) @ flat
     return (s + _t(s)) / 2.0
 
 
@@ -346,11 +395,12 @@ def scalar_curvature_intrinsic(chart: ImmersionChart, u, jets=None) -> float | n
 
     The third derivatives that differentiating the Christoffel symbols would
     bring in cancel (Theorema Egregium), so dF and d2F at the point itself
-    suffice: no step, no truncation, only the rounding of the jets.  G comes
-    from induced_metric; the route never touches sigma, the complex structure
-    or the tangent frame, so it is the independent oracle for the
-    Gauss-equation relation R = n(n-1) - |B|^2, and it sees a wrong component
-    of d2F along F or JF, which sigma misses.  Being exact, it no longer compares
+    suffice: no step, no truncation, only the rounding of the jets.
+    G^-1 = a^T a comes from the Cholesky factor of metric_factor; the route
+    never touches sigma, the complex structure or the tangent frame e, so it
+    is the independent oracle for the Gauss-equation relation
+    R = n(n-1) - |B|^2, and it sees a wrong component of d2F along F or JF,
+    which sigma misses.  Being exact, it no longer compares
     d2F against differences of dF at nearby points; derivative_cross_check
     does that.  u of shape (n,) gives a float; a stack of shape (N, n) gives
     shape (N,), from one batched jet evaluation.
@@ -363,12 +413,12 @@ def scalar_curvature_intrinsic(chart: ImmersionChart, u, jets=None) -> float | n
     """
     u = np.asarray(u, dtype=float)
     jac, hess = chart.jet_eval(u)[1:] if jets is None else jets
-    metric, _ = induced_metric(u, jac)
-    ginv = np.linalg.inv(metric)
+    tangents, _, a, _ = metric_factor(u, jac)
+    ginv = _contiguous_t(a) @ a
     batch, n = jac.shape[:-2], jac.shape[-1]
     flat = hess.reshape(batch + (-1, n * n))
     # h = d2F - dF G^-1 (dF^T d2F), the normal part of d2F in R^(2n+2)
-    h = (flat - jac @ (ginv @ (_t(jac) @ flat))).reshape(hess.shape)
+    h = (flat - jac @ (ginv @ (tangents @ flat))).reshape(hess.shape)
     mean = np.einsum("...ab,...xab->...x", ginv, h)
     raised = ginv[..., None, :, :] @ h @ ginv[..., None, :, :]
     r = np.sum(mean * mean, axis=-1) - np.sum(h * raised, axis=(-3, -2, -1))

@@ -32,7 +32,7 @@ log = logging.getLogger(__name__)
 
 ORTHOGONALITY_TOL = 1e-10
 NORM_ORDER_SLACK = 1e-10
-MAX_DIM = 256  # largest n of a built family: lu extremal at n = 256 peaks near 290 MB
+MAX_DIM = 256  # largest n of a built family: lu extremal --n 256 --k 255 peaks at 429 MB ru_maxrss
 
 
 def _squares(x: np.ndarray) -> np.ndarray:

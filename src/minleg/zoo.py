@@ -174,6 +174,7 @@ def calabi_sigma_closed_form(n: int) -> np.ndarray:
 
 
 ROOT3 = math.sqrt(3.0)
+HALF_ROOT3 = ROOT3 / 2.0
 
 
 def equivariant_sphere3() -> ZooEntry:
@@ -187,21 +188,31 @@ def equivariant_sphere3() -> ZooEntry:
                w^3 + 3 w zb^2)
 
     has constant norm 2 (e.g. |2F(1,0)| = 2), so the stored chart divides by
-    two.  Coordinates: z = cos(a) e^{ib}, w = sin(a) e^{ic}.
+    two.  Coordinates: z = cos(a) e^{ib}, w = sin(a) e^{ic}.  With z zb = cos^2 a
+    and w wb = sin^2 a the stored components are
+
+        F = (z (z^2/2 + 3 wb^2/2),
+             (sqrt(3)/2) (z^2 w + (sin^2 a - 2 cos^2 a) wb),
+             (sqrt(3)/2) (w^2 z + (cos^2 a - 2 sin^2 a) zb),
+             w (w^2/2 + 3 zb^2/2)),
+
+    and on an open mesh each takes one product over the whole (a, b, c) grid;
+    every other factor lives on the (a, b) or (a, c) plane.
     """
 
     def fn(coords):
         a, b, c = coords
-        z = jets.cos(a) * jets.cis(b)
-        w = jets.sin(a) * jets.cis(c)
+        ca, sa = jets.cos(a), jets.sin(a)
+        cos2, sin2 = ca * ca, sa * sa
+        z = ca * jets.cis(b)
+        w = sa * jets.cis(c)
         zb = jets.conj(z)
         wb = jets.conj(w)
-        zz, ww, wbwb, zbzb, zbwb = z * z, w * w, wb * wb, zb * zb, zb * wb
-        p1 = zz * z + 3.0 * (z * wbwb)
-        p2 = ROOT3 * (zz * w + w * wbwb - 2.0 * (z * zbwb))
-        p3 = ROOT3 * (z * ww + z * zbzb - 2.0 * (w * zbwb))
-        p4 = ww * w + 3.0 * (w * zbzb)
-        return [0.5 * p1, 0.5 * p2, 0.5 * p3, 0.5 * p4]
+        zz, ww = z * z, w * w
+        return [z * (0.5 * zz + 1.5 * (wb * wb)),
+                (HALF_ROOT3 * zz) * w + (HALF_ROOT3 * (sin2 - 2.0 * cos2)) * wb,
+                (HALF_ROOT3 * ww) * z + (HALF_ROOT3 * (cos2 - 2.0 * sin2)) * zb,
+                w * (0.5 * ww + 1.5 * (zb * zb))]
 
     domain = [
         Interval(0.0, math.pi / 2.0),

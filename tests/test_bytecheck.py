@@ -37,3 +37,16 @@ def test_readme_states_the_roster_size():
     readme = (BYTECHECK.parents[1] / "README.md").read_text(encoding="utf-8")
     stated = re.findall(r"every\s+subcommand,\s+(\d+)\s+lines", readme)
     assert stated == [str(len(_load_bytecheck().ROSTER))]
+
+
+def test_bytecheck_kernels_on_a_kernel_independent_pair():
+    # the lu extremal and lu check lines keep their bytes under both settings,
+    # so the check reports nothing for them; a smoke test of the child runs
+    bytecheck = _load_bytecheck()
+    roster = [["lu", "extremal", "--n", "4", "--k", "2", "--out", "{dir}/fam.json"],
+              ["lu", "check", "--file", "{dir}/fam.json"]]
+    diffs = bytecheck.kernel_diffs(roster)
+    assert list(diffs) == ["OPENBLAS_CORETYPE=Prescott",
+                           "NPY_DISABLE_CPU_FEATURES=X86_V3 X86_V4 AVX512_ICL AVX512_SPR"]
+    assert diffs == dict.fromkeys(diffs, [])
+    assert bytecheck.child_manifest(roster, {}) == list(bytecheck.manifest(roster))

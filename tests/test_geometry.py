@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -187,14 +188,15 @@ def test_frame_degeneracy_threshold():
         assert np.max(np.abs(fr.e @ _t(fr.e) - np.eye(2))) <= 1e-15 / eps**2
 
 
-def _indefinite_metric(u, jac):
-    """diag(-1, -1, 1) at every point: det G = 1 > 0, yet G is not positive definite."""
-    batch = jac.shape[:-2]
-    return np.broadcast_to(np.diag([-1.0, -1.0, 1.0]), batch + (3, 3)).copy(), np.ones(batch)
-
-
 def test_frame_indefinite_metric(monkeypatch, capsys):
-    monkeypatch.setattr(geometry, "induced_metric", _indefinite_metric)
+    # diag(-1, -1, 1) at every point in place of G: det G = 1 > 0, yet G is not
+    # positive definite, and the first pivot of its factor is -1
+    cholesky = geometry._cholesky
+
+    def indefinite(u, metric):
+        return cholesky(u, np.broadcast_to(np.diag([-1.0, -1.0, 1.0]), metric.shape).copy())
+
+    monkeypatch.setattr(geometry, "_cholesky", indefinite)
     chart = zoo.calabi_torus(3).chart
     with pytest.raises(DegeneratePointError, match="metric not positive definite"):
         point_data(chart, _points(chart, 4, seed=1))
@@ -203,6 +205,73 @@ def test_frame_indefinite_metric(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: numerical failure: metric not positive definite at u = ")
     assert captured.err.count("\n") == 1
+
+
+def _factor_samples():
+    """The curvature samples that verify --seed 0 and 7 draw on the roster, and
+    samples of calabi n=8 and n=13 and geodesic-sphere n=13 that sit near the
+    pole margin (the samples of verify --seed 0 and 14, of 20 seeds, and of
+    verify --seed 5 and 8)."""
+    yield from ((entry, sample_points(entry.chart, 20, seed)) for entry in ENTRIES for seed in (7, 14))
+    for entry, seeds in ((zoo.calabi_torus(8), (7, 21)), (zoo.calabi_torus(13), range(20)),
+                         (zoo.geodesic_sphere(13), (12, 15))):
+        yield entry, np.concatenate([sample_points(entry.chart, 20, seed) for seed in seeds])
+
+
+def test_metric_factor_matches_lapack():
+    # a = L^-1, vol = prod diag L and the oracle's G^-1 = a^T a against
+    # inv(cholesky(G)), sqrt(det G) and inv(G).  Largest gaps measured, relative
+    # to each point's largest entry: a 1.7e-16, G^-1 4.3e-16, and vol 9.8e-15
+    # at n = 13, where |a| reaches 2.9e4.
+    def rel(x, y):
+        return np.max(np.max(np.abs(x - y), axis=(-2, -1)) / np.max(np.abs(y), axis=(-2, -1)))
+
+    for entry, u in _factor_samples():
+        jac = entry.chart.jet_eval(u)[1]
+        tangents, metric, a, vol = geometry.metric_factor(u, jac)
+        assert np.array_equal(tangents, _t(jac)) and np.array_equal(metric, tangents @ jac), entry.name
+        assert rel(a, np.linalg.inv(np.linalg.cholesky(metric))) <= 2e-15, entry.name
+        assert rel(_t(a) @ a, np.linalg.inv(metric)) <= 2e-15, entry.name
+        det = np.sqrt(np.linalg.det(metric))
+        assert np.max(np.abs(vol - det) / det) <= 5e-14, entry.name
+        assert np.array_equal(induced_metric(u, jac)[1], vol), entry.name
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 0), (2, 1), (2, 2)])
+def test_nan_metric_entry_names_its_point(monkeypatch, entry):
+    # a NaN anywhere on or below the diagonal reaches a pivot, and "not > 0"
+    # catches it where "<= 0" would let it run silently through the pipeline
+    cholesky = geometry._cholesky
+    chart = zoo.calabi_torus(3).chart
+    u = _points(chart, 6, seed=2)
+
+    def poisoned(u, metric):
+        metric = metric.copy()
+        metric[(4,) + entry] = metric[(4,) + entry[::-1]] = np.nan
+        return cholesky(u, metric)
+
+    monkeypatch.setattr(geometry, "_cholesky", poisoned)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegeneratePointError) as err:
+            point_data(chart, u)
+    assert str(err.value) == f"metric not positive definite at u = {u[4].tolist()}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--example", "equivariant-s3", "--grid", "4", "--no-timing"],
+    ["verify", "--example", "calabi", "--n", "8", "--grid", "2", "--no-timing"],
+    ["integral", "--example", "calabi", "--n", "4", "--grid", "4"],
+    ["scan", "--example", "geodesic-sphere", "--n", "3", "--grid", "4"],
+])
+def test_point_pipeline_needs_no_lapack(monkeypatch, capsys, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    for name in ("det", "cholesky", "inv", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out
 
 
 # ---- sigma ----------------------------------------------------------------------

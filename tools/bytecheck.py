@@ -48,19 +48,41 @@ The roster:
   ``hard`` logic of failing reports is pinned too;
 - ``verify --no-timing`` on the flat torus T^3 (``flat-torus --n 3``) at
   grid 4, a generated entry outside the default roster.
+
+    python3 tools/bytecheck.py --kernels
+
+reruns the roster in fresh interpreters: once as it is, and once under each
+setting of KERNELS, which changes only the kernels this process's own
+libraries pick.  It prints each line that differs from the default manifest,
+prefixed by its setting, then one count per setting, and exits 1 if any line
+differs.  It sets environment variables of its own children only, and it
+tells something only where OpenBLAS honours ``OPENBLAS_CORETYPE`` (a
+DYNAMIC_ARCH build) and numpy dispatches above X86_V2.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
+import subprocess
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FILE_FLAGS = ("--out", "--csv")
+# OpenBLAS's SSE3 kernels in place of the one it picks for this CPU, and
+# numpy's SIMD dispatch capped at X86_V2
+KERNELS = ({"OPENBLAS_CORETYPE": "Prescott"},
+           {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"})
+CHILD = ("import json, sys\n"
+         "sys.path[:0] = sys.argv[1:]\n"
+         "from bytecheck import manifest\n"
+         "for line in manifest(json.load(sys.stdin)):\n"
+         "    print(line, flush=True)\n")
 
 
 # default_entries() of the zoo, as --example/--n; a fixed list, so that the
@@ -138,7 +160,41 @@ def manifest(lines: list[list[str]]):
                             ",".join(files) or "-", *template])
 
 
-def main() -> int:
+def child_manifest(lines: list[list[str]], env: dict) -> list[str]:
+    """The manifest of lines from a fresh interpreter, whose environment is this
+    one without any KERNELS variable, plus env."""
+    base = {k: v for k, v in os.environ.items() if not any(k in setting for setting in KERNELS)}
+    proc = subprocess.run([sys.executable, "-c", CHILD, os.path.join(ROOT, "tools"), os.path.join(ROOT, "src")],
+                          input=json.dumps(lines), capture_output=True, text=True, env={**base, **env})
+    if proc.returncode:
+        raise RuntimeError(f"manifest child under {env} exited {proc.returncode}: {proc.stderr.strip()}")
+    return proc.stdout.splitlines()
+
+
+def kernel_diffs(lines: list[list[str]]) -> dict[str, list[str]]:
+    """For each setting of KERNELS, written as NAME=value, the manifest lines that
+    differ from the default manifest of lines, in roster order."""
+    default = child_manifest(lines, {})
+    diffs = {}
+    for env in KERNELS:
+        setting = " ".join(f"{k}={v}" for k, v in env.items())
+        diffs[setting] = [got for want, got in zip(default, child_manifest(lines, env)) if got != want]
+    return diffs
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Byte manifest of a fixed roster of minleg command lines.")
+    parser.add_argument("--kernels", action="store_true",
+                        help="rerun the roster under other BLAS and SIMD kernels and print the lines that differ")
+    args = parser.parse_args(argv)
+    if args.kernels:
+        diffs = kernel_diffs(ROSTER)
+        for setting, lines in diffs.items():
+            for line in lines:
+                print(f"{setting}: {line}")
+        for setting, lines in diffs.items():
+            print(f"{setting}: {len(lines)} of {len(ROSTER)} lines differ")
+        return 1 if any(diffs.values()) else 0
     sys.path.insert(0, os.path.join(ROOT, "src"))
     for line in manifest(ROSTER):
         print(line, flush=True)
