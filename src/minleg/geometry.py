@@ -106,7 +106,8 @@ class ImmersionChart:
         its own columns.  On a mesh, each factor of a component is computed
         on the axes it depends on, not on the whole grid.  Every point has
         the same bits in any batch or mesh.  Component k fills real rows 2k
-        (real part) and 2k + 1 (imaginary part).
+        (real part) and 2k + 1 (imaginary part); the copy moves the jets'
+        leading derivative axes behind the batch.
         """
         coords = Jet.variables(u)
         comps = self.components(coords)
@@ -117,6 +118,7 @@ class ImmersionChart:
             tail = (slice(None),) * order
             for k, c in enumerate(comps):
                 z = getattr(c, part)
+                z = z.transpose(tuple(range(order, z.ndim)) + tuple(range(order)))
                 arr[(..., 2 * k) + tail] = z.real
                 arr[(..., 2 * k + 1) + tail] = z.imag if np.iscomplexobj(z) else 0.0
         return out
@@ -170,38 +172,52 @@ def _contiguous_t(x):
     return np.ascontiguousarray(_t(x))
 
 
-def _cholesky(u, metric) -> tuple[np.ndarray, np.ndarray]:
-    """(L, diag L) with G = L L^T for each matrix G in a stack, one column at a time.
+def _batch_major_sum(terms, axis) -> np.ndarray:
+    """Sum over one axis in the order np.add.reduce takes along a contiguous
+    last axis, as on a batch-major array: left to right below 8 terms, and in
+    numpy's pairwise blocks from 8 on, there on a copy with that axis last."""
+    if terms.shape[axis] < 8:
+        return np.add.reduce(terms, axis=axis)
+    return np.add.reduce(np.ascontiguousarray(np.moveaxis(terms, axis, -1)), axis=-1)
 
-    Column j is L_ij = (G_ij - sum_k<j L_ik L_jk) / L_jj for i >= j, with its sums
-    as one np.add.reduce over the batch and L_jj the square root of the pivot
-    G_jj - sum_k<j L_jk^2.  A pivot that is not > 0, NaN included, raises before
-    any square root is taken, so no point of the batch warns.
+
+def _cholesky(u, metric) -> tuple[np.ndarray, np.ndarray]:
+    """(L, diag L) with G = L L^T for each matrix G in a stack B + (n, n), one
+    column at a time, returned batch-last: L of shape (n, n) + B, diag L (n,) + B.
+
+    Column j is L_ij = (G_ij - sum_k<j L_ik L_jk) / L_jj for i >= j, and L_jj the
+    square root of the pivot G_jj - sum_k<j L_jk^2.  On the batch-last view of G
+    each step is one contiguous operation over the batch, and each sum keeps
+    the order of a batch-major np.add.reduce over k (_batch_major_sum).  A pivot
+    that is not > 0, NaN included, raises before any square root is taken, so
+    no point of the batch warns.
     """
-    n = metric.shape[-1]
+    metric = np.moveaxis(metric, (-2, -1), (0, 1))  # a view, (n, n) + B
+    n = metric.shape[0]
     chol = np.zeros(metric.shape)
-    diag = np.empty(metric.shape[:-1])
+    diag = np.empty(metric.shape[1:])
     for j in range(n):
-        col = metric[..., j:, j]
+        col = metric[j:, j]
         if j:
-            col = col - np.add.reduce(chol[..., j:, :j] * chol[..., j:j + 1, :j], axis=-1)
-        bad = ~(col[..., 0] > 0.0)
+            col = col - _batch_major_sum(chol[j:, :j] * chol[j, :j], axis=1)
+        bad = ~(col[0] > 0.0)
         if np.any(bad):
             raise DegeneratePointError(f"metric not positive definite at u = {u[bad][0].tolist()}")
-        diag[..., j] = chol[..., j, j] = np.sqrt(col[..., 0])
-        chol[..., j + 1:, j] = col[..., 1:] / diag[..., j, None]
+        diag[j] = chol[j, j] = np.sqrt(col[0])
+        chol[j + 1:, j] = col[1:] / diag[j]
     return chol, diag
 
 
 def _lower_inverse(chol, diag) -> np.ndarray:
-    """a = L^-1 by forward substitution, one row at a time:
-    a_ij = -(sum_k<i L_ik a_kj) / L_ii for j < i, and a_ii = 1 / L_ii."""
-    n = chol.shape[-1]
+    """a = L^-1 by forward substitution, one row at a time, on the batch-last
+    factor of _cholesky: a_ij = -(sum_k<i L_ik a_kj) / L_ii for j < i, summed
+    left to right over k, and a_ii = 1 / L_ii.  a has shape (n, n) + B."""
+    n = chol.shape[0]
     a = np.zeros(chol.shape)
     for i in range(n):
-        a[..., i, i] = 1.0 / diag[..., i]
+        a[i, i] = 1.0 / diag[i]
         if i:
-            a[..., i, :i] = np.add.reduce(chol[..., i, :i, None] * a[..., :i, :i], axis=-2) / -diag[..., i, None]
+            a[i, :i] = np.add.reduce(chol[i, :i, None] * a[:i, :i], axis=0) / -diag[i]
     return a
 
 
@@ -209,18 +225,21 @@ def metric_factor(u, jac) -> tuple[np.ndarray, ...]:
     """(dF^T, G, a, vol) of the coordinate tangents jac, shape B + (2n+2, n).
 
     dF^T is a contiguous copy, G = dF^T dF the metric, and, from its Cholesky
-    factor G = L L^T, a = L^-1 and vol = prod diag L = sqrt(det G).  This is the
-    one check on the metric: a pivot not > 0 means "metric not positive
-    definite", and L_ii <= DEGENERACY_TOL (1 + |dF_i|), tangent i all but in the
-    span of those before it, means "coordinate tangents degenerate".
+    factor G = L L^T, a = L^-1 and vol = prod diag L = sqrt(det G).  The factor
+    runs batch-last; a comes back as one contiguous batch-major copy, the
+    layout the stacked products that read it need.  This is the one check on
+    the metric: a pivot not > 0 means "metric not positive definite", and
+    L_ii <= DEGENERACY_TOL (1 + |dF_i|), tangent i all but in the span of those
+    before it, means "coordinate tangents degenerate".
     """
     tangents = _contiguous_t(jac)
     metric = tangents @ jac
     chol, diag = _cholesky(u, metric)
-    bad = np.any(diag <= DEGENERACY_TOL * (1.0 + np.sqrt(np.einsum("...ii->...i", metric))), axis=-1)
+    bad = np.any(diag <= DEGENERACY_TOL * (1.0 + np.sqrt(np.einsum("...ii->i...", metric))), axis=0)
     if np.any(bad):
         raise DegeneratePointError(f"coordinate tangents degenerate at u = {u[bad][0].tolist()}")
-    return tangents, metric, _lower_inverse(chol, diag), np.multiply.reduce(diag, axis=-1)
+    a = np.ascontiguousarray(np.moveaxis(_lower_inverse(chol, diag), (0, 1), (-2, -1)))
+    return tangents, metric, a, np.multiply.reduce(diag, axis=0)
 
 
 def induced_metric(u, jac) -> tuple[np.ndarray, np.ndarray]:

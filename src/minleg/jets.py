@@ -8,8 +8,10 @@ to rounding, with no truncation error.
 
 A jet may carry a batch of points at once (vector-mode propagation): ``val``
 has batch shape B, ``grad`` and ``hess`` shapes that broadcast against
-B + (d,) and B + (d, d), and every operation acts pointwise along B; a single
-point is the case B = ().  Operands broadcast as numpy arrays do, so on an
+(d,) + B and (d, d) + B, and every operation acts pointwise along B; a single
+point is the case B = ().  The batch axes come last, so each term of the
+product and chain rules is one contiguous operation over the batch, not d or
+d^2 short ones.  Operands broadcast as numpy arrays do, so on an
 open mesh (one coordinate array per axis, as ``np.ix_`` builds them) a
 function of one coordinate is computed along that coordinate's axis only,
 and the product grid is formed by the first operation that mixes axes
@@ -29,7 +31,11 @@ import numpy as np
 
 
 class Jet:
-    """Truncated second-order Taylor data of a scalar function of d reals."""
+    """Truncated second-order Taylor data of a scalar function of d reals.
+
+    val has the batch shape B, grad (d,) + B and hess (d, d) + B, each up to
+    broadcasting: the derivative axes lead, the batch axes follow.
+    """
 
     __slots__ = ("val", "grad", "hess")
 
@@ -45,19 +51,21 @@ class Jet:
         u is a point, shape (d,), a point stack, shape B + (d,), or an open
         mesh: a tuple of d coordinate arrays that broadcast together to B.  A
         point stack is the trivial mesh of its own columns.  Each jet keeps
-        the shape of its own coordinate array; its constant gradient and zero
-        Hessian have length-1 batch axes.
+        the shape of its own coordinate array; its constant gradient, shape
+        (d,) + ones, and zero Hessian, shape (d, d) + ones, have length-1
+        batch axes.
         """
         if not isinstance(u, tuple):
             u = np.asarray(u, dtype=float)
             u = tuple(np.ascontiguousarray(np.moveaxis(u, -1, 0)))
         d = len(u)
         eye, zero = np.eye(d), np.zeros((d, d))
+        eye.flags.writeable = zero.flags.writeable = False  # shared by every jet's views
         jets = []
         for i, x in enumerate(u):
             x = np.asarray(x, dtype=float)
             ones = (1,) * x.ndim
-            jets.append(Jet(x, np.broadcast_to(eye[i], ones + (d,)), np.broadcast_to(zero, ones + (d, d))))
+            jets.append(Jet(x, eye[i].reshape((d,) + ones), zero.reshape((d, d) + ones)))
         return jets
 
     # ---- ring operations ------------------------------------------------
@@ -80,12 +88,11 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            sv, ov = self.val[..., None], other.val[..., None]
+            sv, ov = self.val, other.val
             grad = self.grad * ov + sv * other.grad
-            cross = self.grad[..., :, None] * other.grad[..., None, :]
-            sv, ov = sv[..., None], ov[..., None]
-            hess = self.hess * ov + sv * other.hess + cross + cross.swapaxes(-1, -2)
-            return Jet(self.val * other.val, grad, hess)
+            cross = self.grad[:, None] * other.grad[None, :]
+            hess = self.hess * ov + sv * other.hess + cross + cross.swapaxes(0, 1)
+            return Jet(sv * ov, grad, hess)
         return Jet(self.val * other, self.grad * other, self.hess * other)
 
     __rmul__ = __mul__
@@ -109,9 +116,8 @@ class Jet:
 
 def _chain(x, f0, f1, f2):
     """Compose a scalar function with a jet given f(x), f'(x), f''(x)."""
-    f1, f2 = f1[..., None], f2[..., None, None]
-    cross = x.grad[..., :, None] * x.grad[..., None, :]
-    return Jet(f0, f1 * x.grad, f1[..., None] * x.hess + f2 * cross)
+    cross = x.grad[:, None] * x.grad[None, :]
+    return Jet(f0, f1 * x.grad, f1 * x.hess + f2 * cross)
 
 
 def sin(x):

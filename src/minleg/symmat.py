@@ -75,45 +75,59 @@ def sym_eigen(a) -> EigenResult:
     A stack of matrices, shape B + (n, n), is solved in lockstep: at each
     pivot only the matrices that have not converged and have a nonzero pivot
     entry rotate, so each matrix sees the rotation sequence of its own solve.
+    The stack is held batch-last, so each rotation step is one contiguous
+    operation over the matrices that rotate, in place when all of them do.
+    The norms that decide convergence are summed as on a batch-major stack:
+    the same expressions on arrays of the same layout, so the same order.
     """
     a = symmetrize(a)
     batch, n = a.shape[:-2], a.shape[-1]
     a = a.reshape(-1, n, n)
     stop = JACOBI_TOL * (1.0 + np.sqrt((a * a).sum(axis=(1, 2))))
-    # The eigenvector matrix Q sits under A in one array, so each column
-    # rotation of A also applies to Q.
-    aq = np.concatenate([a, np.broadcast_to(np.eye(n), a.shape)], axis=1)
-    a, q = aq[:, :n], aq[:, n:]
+    # The eigenvector matrix Q sits under A in one (2n, n, N) array, so each
+    # column rotation of A also applies to Q.
+    aq = np.empty((2 * n, n, len(a)))
+    aq[:n] = np.moveaxis(a, 0, -1)
+    aq[n:] = np.eye(n)[:, :, None]
+    a, q = aq[:n], aq[n:]
     offdiag = ~np.eye(n, dtype=bool)
     for _ in range(MAX_SWEEPS + 1):
-        off = a[:, offdiag]
+        # The gather a[:, offdiag] of a batch-major stack, into the same layout,
+        # (N, n(n-1)) with the batch axis innermost: each row of squares then
+        # sums in the same order (left to right, or pairwise when N = 1).
+        off = a.transpose(2, 0, 1)[:, offdiag]
         active = np.sqrt((off * off).sum(axis=1)) >= stop
         if not active.any():
             break
         for p in range(n - 1):
             for r in range(p + 1, n):
-                k = np.flatnonzero(active & (a[:, p, r] != 0.0))
+                k = np.flatnonzero(active & (a[p, r] != 0.0))
                 if k.size == 0:
                     continue
-                m = aq[k]
-                tau = (m[:, r, r] - m[:, p, p]) / (2.0 * m[:, p, r])
+                m = aq if k.size == aq.shape[-1] else aq[..., k]
+                tau = (m[r, r] - m[p, p]) / (2.0 * m[p, r])
                 t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
                 c = 1.0 / np.sqrt(1.0 + t * t)
-                s = (t * c)[:, None]
-                c = c[:, None]
+                s = t * c
                 # A <- J^T A J with J the rotation in the (p, r) plane; Q <- Q J.
-                col_p, col_r = m[:, :, p].copy(), m[:, :, r]
-                m[:, :, p] = c * col_p - s * col_r
-                m[:, :, r] = s * col_p + c * col_r
-                row_p, row_r = m[:, p, :].copy(), m[:, r, :]
-                m[:, p, :] = c * row_p - s * row_r
-                m[:, r, :] = s * row_p + c * row_r
-                m[:, p, r] = m[:, r, p] = 0.0
-                aq[k] = m
+                col_p, col_r = m[:, p].copy(), m[:, r]
+                m[:, p] = c * col_p - s * col_r
+                m[:, r] = s * col_p + c * col_r
+                row_p, row_r = m[p].copy(), m[r]
+                m[p] = c * row_p - s * row_r
+                m[r] = s * row_p + c * row_r
+                m[p, r] = m[r, p] = 0.0
+                if m is not aq:
+                    aq[..., k] = m
     else:
         raise JacobiConvergenceError(f"Jacobi sweeps did not converge within {MAX_SWEEPS} sweeps")
-    values = np.diagonal(a, axis1=1, axis2=2)
-    order = np.argsort(-values, axis=1, kind="stable")
-    values = np.take_along_axis(values, order, axis=1)
-    vectors = np.take_along_axis(q, order[:, None, :], axis=2)
+    # Sort each matrix's eigenvalues, and Q's columns with them, by one gather
+    # each: in the (n, n N) view of a batch-last (n, n, N) array, entry (i, j)
+    # of matrix b sits in row i at j N + b.
+    count = aq.shape[-1]
+    diag = a.reshape(n * n, count)[::n + 1]
+    order = np.argsort(-diag.T, axis=1, kind="stable")
+    flat = order * count + np.arange(count)[:, None]
+    values = diag.ravel()[flat]
+    vectors = q.reshape(n, n * count)[:, flat].transpose(1, 0, 2)
     return EigenResult(values.reshape(batch + (n,)), vectors.reshape(batch + (n, n)))

@@ -431,14 +431,14 @@ def pinching_scan(chart: ImmersionChart, grid: GridSpec = GridSpec(),
 
 def scan_to_csv(scan: ScanResult) -> str:
     """One row per point: its coordinates and the value, each at 17
-    significant digits.  A grid repeats each node along its axis, so every
-    distinct coordinate (by bits: -0.0 is not 0.0) is formatted once."""
+    significant digits.  Every distinct number of a column (by bits: -0.0 is
+    not 0.0) is formatted once: a grid repeats each node along its axis, and a
+    scan's values repeat wherever the quantity is constant up to rounding."""
     dim = scan.points.shape[1]
     header = ",".join([f"u{i + 1}" for i in range(dim)] + ["value"])
     columns = []
-    for column in np.asarray(scan.points, dtype=float).T:
-        bits, inverse = np.unique(np.ascontiguousarray(column).view(np.uint64), return_inverse=True)
+    for column in np.vstack((np.asarray(scan.points, dtype=float).T, np.asarray(scan.values, dtype=float))):
+        bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
         text = np.array([f"{x:.17g}" for x in bits.view(float).tolist()], dtype=object)
         columns.append(text[inverse].tolist())
-    columns.append([f"{x:.17g}" for x in np.asarray(scan.values, dtype=float).tolist()])
     return "\n".join([header] + [",".join(r) for r in zip(*columns)]) + "\n"

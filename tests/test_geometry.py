@@ -29,9 +29,15 @@ from minleg.geometry import (
     spectrum_of,
 )
 from minleg.symmat import sym_eigen
-from minleg.verify import sample_points
+from minleg.verify import GridSpec, integral_p1, pinching_scan, sample_points, verify_chart
 
-from _helpers import random_orthogonal
+from _helpers import (
+    random_orthogonal,
+    reference_cholesky,
+    reference_lower_inverse,
+    reference_sym_eigen,
+    same_bits,
+)
 
 ENTRIES = [
     zoo.geodesic_sphere(3),
@@ -272,6 +278,136 @@ def test_point_pipeline_needs_no_lapack(monkeypatch, capsys, argv):
         monkeypatch.setattr(np.linalg, name, refuse)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out
+
+
+# ---- batch-last kernels against their batch-major references -------------------
+
+
+def _reference_factor(u, metric):
+    """(a, vol) from the batch-major Cholesky factor and forward substitution."""
+    chol, diag = reference_cholesky(u, metric)
+    return reference_lower_inverse(chol, diag), np.multiply.reduce(diag, axis=-1)
+
+
+def _check_against_references(monkeypatch):
+    """Make every metric_factor and sym_eigen call of the pipeline check its bits
+    against the batch-major references; returns the list of checked calls."""
+    factor, eigen = geometry.metric_factor, geometry.sym_eigen
+    checked = []
+
+    def checked_factor(u, jac):
+        tangents, metric, a, vol = factor(u, jac)
+        want_a, want_vol = _reference_factor(u, metric)
+        assert same_bits(a, want_a) and same_bits(vol, want_vol), metric.shape
+        checked.append(("factor", metric.shape))
+        return tangents, metric, a, vol
+
+    def checked_eigen(s):
+        got = eigen(s)
+        values, vectors = reference_sym_eigen(s)
+        assert same_bits(got.values, values) and same_bits(got.vectors, vectors), s.shape
+        checked.append(("eigen", s.shape))
+        return got
+
+    monkeypatch.setattr(geometry, "metric_factor", checked_factor)
+    monkeypatch.setattr(geometry, "sym_eigen", checked_eigen)
+    return checked
+
+
+def test_batch_last_kernels_match_references_on_roster_and_sweeps(monkeypatch):
+    # every batch that verify factors and solves on the byte roster's verify
+    # lines (grids 4 and 8, seeds 0 and 7), and the sweep meshes of integral
+    # and scan (equivariant-s3 at grid 10, calabi n=4 at grid 5)
+    checked = _check_against_references(monkeypatch)
+    for entry in ENTRIES:
+        for grid in (4, 8):
+            for seed in (0, 7):
+                verify_chart(entry, grid=GridSpec(points_per_dim=grid, seed=seed))
+    for entry, grid in ((zoo.equivariant_sphere3(), 10), (zoo.calabi_torus(4), 5)):
+        spec = GridSpec(points_per_dim=grid, seed=7)
+        integral_p1(entry.chart, grid=spec)
+        pinching_scan(entry.chart, grid=spec, quantity="pinch")
+    kinds = [kind for kind, _ in checked]
+    assert kinds.count("factor") >= 2 * 24 + 4 and kinds.count("eigen") >= 24 + 4
+    assert (("factor", (1000, 3, 3)) in checked) and (("eigen", (625, 4, 4)) in checked)
+
+
+def test_batch_last_factor_matches_reference_near_poles():
+    # the curvature samples of _factor_samples, up to n = 13, where the sums
+    # of a Cholesky column run past numpy's 8-term pairwise block
+    for entry, u in _factor_samples():
+        jac = entry.chart.jet_eval(u)[1]
+        _, metric, a, vol = geometry.metric_factor(u, jac)
+        want_a, want_vol = _reference_factor(u, metric)
+        assert same_bits(a, want_a) and same_bits(vol, want_vol), entry.name
+
+
+def _random_tangents(rng, shape, n):
+    """Coordinate tangents, shape shape + (2n+2, n), with columns scaled over six
+    decades; in every other matrix the columns have disjoint supports and random
+    signs, so its metric is diagonal."""
+    jac = rng.standard_normal(shape + (2 * n + 2, n)) * 10.0 ** rng.uniform(-3, 3, shape + (1, n))
+    flat = jac.reshape((-1, 2 * n + 2, n))
+    for k in range(0, len(flat), 2):
+        support = np.zeros((2 * n + 2, n))
+        support[np.arange(n), np.arange(n)] = support[n + np.arange(n), np.arange(n)] = 1.0
+        flat[k] *= support
+        flat[k] *= np.where(rng.random(flat[k].shape) < 0.5, -1.0, 1.0)
+    return flat.reshape(jac.shape)
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_batch_last_factor_matches_reference_on_random_stacks(n):
+    rng = np.random.default_rng(100 + n)
+    negative_zeros = 0
+    for shape in ((), (1,), (7,), (128,)):
+        jac = _random_tangents(rng, shape, n)
+        u = rng.uniform(-1.0, 1.0, shape + (n,))
+        _, metric, a, vol = geometry.metric_factor(u, jac)
+        want_a, want_vol = _reference_factor(u, metric)
+        assert same_bits(a, want_a) and same_bits(vol, want_vol), shape
+        # the same metric with each zero entry -0.0: the signs must carry through too
+        metric = np.where(metric == 0.0, -0.0, metric)
+        chol, diag = geometry._cholesky(u, metric)
+        want_chol, want_diag = reference_cholesky(u, metric)
+        assert same_bits(np.moveaxis(chol, (0, 1), (-2, -1)), want_chol), shape
+        assert same_bits(np.moveaxis(diag, 0, -1), want_diag), shape
+        a = np.moveaxis(geometry._lower_inverse(chol, diag), (0, 1), (-2, -1))
+        want_a = reference_lower_inverse(want_chol, want_diag)
+        assert same_bits(a, want_a), shape
+        negative_zeros += np.sum(np.signbit(want_a) & (want_a == 0.0))
+    assert negative_zeros
+
+
+def test_batch_last_factor_names_the_first_bad_point():
+    # a pivot that is not > 0 and a tangent all but in the span of those before
+    # it keep today's messages, each naming the first such point of the batch
+    rng = np.random.default_rng(3)
+    n = 4
+    u = rng.uniform(-1.0, 1.0, (6, n))
+    jac = rng.standard_normal((6, 2 * n + 2, n))
+    # G_33 = 1 + 2^-52 exactly with L_30 = 1: L_33 = 2^-26 <= DEGENERACY_TOL (1 + |dF_3|)
+    for k in (2, 4):
+        jac[k] = np.eye(2 * n + 2, n)
+        jac[k, 0, 3] = 1.0
+        jac[k, 3, 3] = 2.0**-26
+    with pytest.raises(DegeneratePointError) as err:
+        geometry.metric_factor(u, jac)
+    assert str(err.value) == f"coordinate tangents degenerate at u = {u[2].tolist()}"
+    # a NaN tangent at point 5 reaches a pivot, which is checked before any degeneracy
+    jac[5, 1, 1] = np.nan
+    with pytest.raises(DegeneratePointError) as err:
+        geometry.metric_factor(u, jac)
+    assert str(err.value) == f"metric not positive definite at u = {u[5].tolist()}"
+    metric = np.einsum("bki,bkj->bij", jac, jac)
+    metric[1] = metric[3] = np.diag([1.0, -1.0, 1.0, 1.0])
+    for cholesky in (geometry._cholesky, reference_cholesky):
+        with pytest.raises(DegeneratePointError) as err:
+            cholesky(u, metric)
+        assert str(err.value) == f"metric not positive definite at u = {u[1].tolist()}"
+        with pytest.raises(DegeneratePointError) as err:
+            cholesky(u[3], metric[3])
+        assert str(err.value) == f"metric not positive definite at u = {u[3].tolist()}"
 
 
 # ---- sigma ----------------------------------------------------------------------

@@ -149,3 +149,40 @@ def test_against_central_differences():
                     func(u + ei + ej) - func(u + ei - ej) - func(u - ei + ej) + func(u - ei - ej)
                 ) / (4 * h2 * h2)
                 assert abs(f.hess[i, j] - fd2) < 1e-6
+
+
+def test_batch_last_layout():
+    # derivative axes lead and batch axes follow: on a point stack and on an
+    # np.ix_ mesh, the coordinate jets carry (d,) + ones and (d, d) + ones,
+    # products carry (d,) + B and (d, d) + B, and jet_eval still returns the
+    # batch-major B + (2n+2, ...) arrays, each point with the bits of its own
+    # single-point evaluation
+    from minleg import zoo
+
+    rng = np.random.default_rng(12)
+    stack = rng.uniform(0.1, 1.4, (5, 3))
+    x, y, z = Jet.variables(stack)
+    assert x.val.shape == (5,) and x.grad.shape == (3, 1) and x.hess.shape == (3, 3, 1)
+    assert np.array_equal(y.grad[:, 0], [0.0, 1.0, 0.0])
+    f = jets.sin(x) * y * z
+    assert f.val.shape == (5,) and f.grad.shape == (3, 5) and f.hess.shape == (3, 3, 5)
+    mesh = np.ix_([0.2, 0.5, 0.9, 1.3], [0.1, 2.0], [0.3, 0.4, 0.6])
+    x, y, z = Jet.variables(mesh)
+    assert x.val.shape == (4, 1, 1) and x.grad.shape == (3, 1, 1, 1) and x.hess.shape == (3, 3, 1, 1, 1)
+    xy = jets.cos(x) * jets.sin(y)
+    assert xy.val.shape == (4, 2, 1) and xy.grad.shape == (3, 4, 2, 1) and xy.hess.shape == (3, 3, 4, 2, 1)
+    g = xy * jets.exp(z)
+    assert g.grad.shape == (3, 4, 2, 3) and g.hess.shape == (3, 3, 4, 2, 3)
+    one = Jet.variables([0.9, 2.0, 0.4])
+    point = jets.cos(one[0]) * jets.sin(one[1]) * jets.exp(one[2])
+    for part in ("val", "grad", "hess"):
+        got = getattr(g, part)[(..., 2, 1, 1)]
+        assert np.array_equal(got, getattr(point, part)), part
+
+    chart = zoo.equivariant_sphere3().chart
+    for u, batch, at in ((stack, (5,), (3,)), (mesh, (4, 2, 3), (1, 1, 2))):
+        f, jac, hess = chart.jet_eval(u)
+        assert f.shape == batch + (8,) and jac.shape == batch + (8, 3) and hess.shape == batch + (8, 3, 3)
+        single = np.array([c[at] for c in np.broadcast_arrays(*u)]) if isinstance(u, tuple) else u[at]
+        for got, want in zip((f, jac, hess), chart.jet_eval(single)):
+            assert np.array_equal(got[at], want)

@@ -11,7 +11,7 @@ from minleg.symmat import (
     symmetrize,
 )
 
-from _helpers import random_symmetric
+from _helpers import random_symmetric, reference_sym_eigen, same_bits
 
 
 def test_symmetrize_basic():
@@ -203,3 +203,72 @@ def test_eigen_batched_matches_single_calls():
             one = sym_eigen(a)
             assert np.array_equal(res.values[k], one.values), (n, k)
             assert np.array_equal(res.vectors[k], one.vectors), (n, k)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_eigen_matches_batch_major_reference(n):
+    # stacks that mix zero, diagonal, dense and partly converged matrices (off
+    # the diagonal by 1e-15 to 1e-13 of their norm, near the stopping rule), so
+    # pivots rotate all, some or none of the matrices; every matrix must keep
+    # the bits of the batch-major lockstep solve, and so must one matrix alone
+    rng = np.random.default_rng(700 + n)
+    for count in (1, 7, 64):
+        stack = np.stack([random_symmetric(rng, n, scale=10.0 ** rng.uniform(-3, 3)) for _ in range(count)])
+        kinds = rng.integers(0, 4, count)
+        for k in np.flatnonzero(kinds == 0):
+            stack[k] = 0.0
+        for k in np.flatnonzero(kinds == 1):
+            stack[k] = np.diag(np.diag(stack[k]))
+        for k in np.flatnonzero(kinds == 2):
+            near = 10.0 ** rng.uniform(-15, -13) * random_symmetric(rng, n)
+            stack[k] = np.diag(rng.standard_normal(n)) + near
+        values, vectors = reference_sym_eigen(stack)
+        res = sym_eigen(stack)
+        assert same_bits(res.values, values) and same_bits(res.vectors, vectors), count
+        one = sym_eigen(stack[0])
+        assert same_bits(one.values, values[0]) and same_bits(one.vectors, vectors[0])
+
+
+def _stack_on_the_stopping_rule(rng, n):
+    """A stack (A, E, D, E) whose matrix E = c I + X has an off-diagonal norm and
+    a stopping threshold that differ by rounding only: summed left to right
+    the n(n - 1) >= 8 squares meet the threshold one way, and summed in
+    numpy's pairwise blocks, as a contiguous row of squares would be, the
+    other way.  The threshold is taken from the stack itself, as sym_eigen
+    sums it."""
+    offdiag = ~np.eye(n, dtype=bool)
+    dense, diagonal = random_symmetric(rng, n), np.diag(rng.standard_normal(n))
+    for _ in range(100):
+        x = random_symmetric(rng, n) * (1.0 - np.eye(n))
+        x *= 1.5e-14 / np.sqrt(np.sum(x * x))
+        squares = x[offdiag] ** 2
+        pairwise = np.sqrt(np.add.reduce(squares))
+        in_order = 0.0
+        for term in squares.tolist():
+            in_order += term
+        in_order = np.sqrt(in_order)
+        lo, hi = min(pairwise, in_order), max(pairwise, in_order)
+        c_lo, c_hi = 0.0, 1.0  # the threshold grows with c, from 1e-14 to 2e-14
+        for _ in range(60):
+            c = (c_lo + c_hi) / 2.0
+            edge = c * np.eye(n) + x
+            stack = np.stack([dense, edge, diagonal, edge])
+            stop = symmat.JACOBI_TOL * (1.0 + np.sqrt((stack * stack).sum(axis=(1, 2))))[1]
+            if lo < stop <= hi:
+                return stack
+            c_lo, c_hi = (c, c_hi) if stop <= lo else (c_lo, c)
+    raise AssertionError("no matrix found on the stopping rule")
+
+
+def test_eigen_stopping_rule_sums_batch_major():
+    # each convergence decision sums the off-diagonal squares in the order of
+    # the batch-major solve (left to right in a stack, as its boolean gather
+    # returns the squares strided); on a matrix where the other order decides
+    # the other way, a rotation (by 45 degrees, as the diagonal is constant)
+    # happens or not, so its bits tell the orders apart
+    rng = np.random.default_rng(11)
+    for n in (4, 6):
+        stack = _stack_on_the_stopping_rule(rng, n)
+        values, vectors = reference_sym_eigen(stack)
+        res = sym_eigen(stack)
+        assert same_bits(res.values, values) and same_bits(res.vectors, vectors), n

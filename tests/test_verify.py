@@ -306,9 +306,10 @@ def _reference_scan_to_csv(scan):
 
 
 def test_scan_csv_matches_reference_formatter():
-    # each distinct coordinate is formatted once; the bytes are those of
-    # formatting every number: on the scans of every zoo entry, and on points
-    # off any grid with repeated coordinates, signed zeros and non-finite values
+    # each distinct number of a column, coordinate or value, is formatted once;
+    # the bytes are those of formatting every number: on the scans of every zoo
+    # entry, and on points and values off any grid with repeats, signed zeros
+    # and non-finite values
     for entry in zoo.default_entries():
         for quantity in ("pinch", "lambda_2"):
             scan = pinching_scan(entry.chart, GridSpec(points_per_dim=(5, 3, 4, 2)[:entry.chart.dim]),
