@@ -283,12 +283,22 @@ def sigma_symmetry_defect(sigma: np.ndarray) -> float | np.ndarray:
     The three transpositions and one 3-cycle suffice: the other 3-cycle is the
     inverse pi^-1 of the first, and max|sigma - sigma o pi^-1| is max|sigma o pi
     - sigma| reindexed, the same differences negated, so the same maximum to
-    the bit.  The identity contributes 0.
+    the bit.  The identity contributes 0.  Each |sigma - sigma o pi| folds into
+    one running elementwise maximum, reduced once at the end: max is exact and
+    passes NaN on, so the order of the maxima does not show in the bits.
     """
     lead = tuple(range(sigma.ndim - 3))
-    perms = [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 1, 0)]
-    return np.max([np.max(np.abs(sigma - np.transpose(sigma, lead + tuple(len(lead) + k for k in p))),
-                          axis=(-3, -2, -1)) for p in perms], axis=0)
+    defect, diff = None, np.empty_like(sigma, order="C")
+    for p in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 1, 0)):
+        # sigma o pi is copied first: a subtraction that read the transposed view
+        # would hold a ufunc buffer on top of the two arrays
+        np.copyto(diff, np.transpose(sigma, lead + tuple(len(lead) + k for k in p)))
+        np.abs(np.subtract(sigma, diff, out=diff), out=diff)
+        if defect is None:
+            defect, diff = diff, np.empty_like(diff)
+        else:
+            np.maximum(defect, diff, out=defect)
+    return np.max(defect, axis=(-3, -2, -1))
 
 
 def minimality_residual(sigma: np.ndarray) -> float | np.ndarray:
@@ -327,7 +337,9 @@ class Spectrum:
 
 
 def spectrum_of(s: np.ndarray) -> Spectrum:
-    values = sym_eigen(s).values
+    """Spectrum of a fundamental matrix or a stack of them, from a values-only
+    Jacobi solve: nothing downstream reads the eigenvectors."""
+    values = sym_eigen(s, vectors=False).values
     n = values.shape[-1]
     if n < 2:
         raise ValueError("spectrum needs n >= 2 (lambda_2 is used)")
@@ -425,14 +437,20 @@ def scalar_curvature_intrinsic(chart: ImmersionChart, u, jets=None) -> float | n
     shape (N,), from one batched jet evaluation.
 
     jets = (dF, d2F), as chart.jet_eval(u) returns them, skips that
-    evaluation; verify_chart passes the jets its batched pass already holds
-    for the sample points (PointData.jac and .hess).  The oracle stays
-    independent: a point's jets have the same bits in any batch, so these are
-    the values it would compute itself, and it still reads no sigma, J or frame.
+    evaluation, and jets = (dF, d2F, a), with a = L^-1 as metric_factor gives
+    it for dF, also skips the factor.  verify_chart passes the jets and the
+    change of basis its batched pass already holds for the sample points
+    (PointData.jac, .hess and .frame.a), so each point's metric is factored
+    once per report, and checked once.  The oracle stays independent: a
+    point's jets and factor have the same bits in any batch, so these are the
+    values it would compute itself, and it still reads no sigma, J or frame e.
     """
     u = np.asarray(u, dtype=float)
-    jac, hess = chart.jet_eval(u)[1:] if jets is None else jets
-    tangents, _, a, _ = metric_factor(u, jac)
+    jac, hess, *factor = chart.jet_eval(u)[1:] if jets is None else jets
+    if factor:
+        tangents, a = _contiguous_t(jac), factor[0]
+    else:
+        tangents, _, a, _ = metric_factor(u, jac)
     ginv = _contiguous_t(a) @ a
     batch, n = jac.shape[:-2], jac.shape[-1]
     flat = hess.reshape(batch + (-1, n * n))

@@ -59,11 +59,11 @@ class JacobiConvergenceError(NumericalFailure):
 
 
 class EigenResult(NamedTuple):
-    values: np.ndarray   # descending
-    vectors: np.ndarray  # columns, matching order
+    values: np.ndarray          # descending
+    vectors: np.ndarray | None  # columns, matching order; None from a values-only solve
 
 
-def sym_eigen(a) -> EigenResult:
+def sym_eigen(a, vectors: bool = True) -> EigenResult:
     """Eigendecomposition by cyclic Jacobi rotations.
 
     Sweeps pivots in fixed row order (0,1), (0,2), ..., (n-2,n-1) until the
@@ -79,16 +79,23 @@ def sym_eigen(a) -> EigenResult:
     operation over the matrices that rotate, in place when all of them do.
     The norms that decide convergence are summed as on a batch-major stack:
     the same expressions on arrays of the same layout, so the same order.
+
+    vectors=False solves for the values alone and returns vectors=None: the
+    loop holds A without the eigenvector matrix Q, so it skips Q's share of
+    each column rotation and the gather of Q's columns.  Every rotation of A
+    runs the same operations in the same order, so the values have the bits
+    of the full solve.
     """
     a = symmetrize(a)
     batch, n = a.shape[:-2], a.shape[-1]
     a = a.reshape(-1, n, n)
     stop = JACOBI_TOL * (1.0 + np.sqrt((a * a).sum(axis=(1, 2))))
-    # The eigenvector matrix Q sits under A in one (2n, n, N) array, so each
-    # column rotation of A also applies to Q.
-    aq = np.empty((2 * n, n, len(a)))
+    # With vectors, the eigenvector matrix Q sits under A in one (2n, n, N)
+    # array, so each column rotation of A also applies to Q.
+    aq = np.empty((2 * n if vectors else n, n, len(a)))
     aq[:n] = np.moveaxis(a, 0, -1)
-    aq[n:] = np.eye(n)[:, :, None]
+    if vectors:
+        aq[n:] = np.eye(n)[:, :, None]
     a, q = aq[:n], aq[n:]
     offdiag = ~np.eye(n, dtype=bool)
     for _ in range(MAX_SWEEPS + 1):
@@ -128,6 +135,7 @@ def sym_eigen(a) -> EigenResult:
     diag = a.reshape(n * n, count)[::n + 1]
     order = np.argsort(-diag.T, axis=1, kind="stable")
     flat = order * count + np.arange(count)[:, None]
-    values = diag.ravel()[flat]
-    vectors = q.reshape(n, n * count)[:, flat].transpose(1, 0, 2)
-    return EigenResult(values.reshape(batch + (n,)), vectors.reshape(batch + (n, n)))
+    values = diag.ravel()[flat].reshape(batch + (n,))
+    if not vectors:
+        return EigenResult(values, None)
+    return EigenResult(values, q.reshape(n, n * count)[:, flat].transpose(1, 0, 2).reshape(batch + (n, n)))

@@ -324,10 +324,12 @@ def verify_chart(
         parts.append((sp.scalar, sp.lambdas, sp.normB2, sp.pinch, pd.frame.vol, gauss_rank(sp),
                       *(residual(pd, expected) for _, _, residual in table)))
         # the box's curvature samples, if any, go to the oracle with their jets
+        # and the pass's factor of their metric
         s = slice(max(size - box.start, 0), max(size + len(spts) - box.start, 0))
         u = rows[box][s]
         if len(u):
-            r_intrinsic.append(scalar_curvature_intrinsic(chart, u, jets=(pd.jac[s], pd.hess[s])))
+            jets = (pd.jac[s], pd.hess[s], pd.frame.a[s])
+            r_intrinsic.append(scalar_curvature_intrinsic(chart, u, jets=jets))
     scalar, *columns = _concat(parts)
     lambdas, normB2, pinch, sqrtdetg, ranks, *residuals = (column[:size] for column in columns)
     r_gauss = scalar[size:size + len(spts)]

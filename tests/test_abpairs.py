@@ -45,7 +45,7 @@ def test_gain_needs_nine_of_ten_pairs_and_a_gap_above_the_iqr():
     assert (v["won"], v["gain"]) == (10, False)
     # ties count for neither side
     v = ab.verdict(PARENT, PARENT, "higher", 0.25)
-    assert (v["won"], v["lost"], v["gain"], v["within_bound"]) == (0, 0, False, True)
+    assert (v["won"], v["lost"], v["gain"], v["within_bound"], v["unresolved"]) == (0, 0, False, True, False)
 
 
 def test_lower_is_better_and_the_bound():
@@ -76,3 +76,36 @@ def test_report_reads_the_runs():
     assert items.split() == ["items_per_s", "100", "[98.25,", "101.75]", "110", "[108.25,", "111.75]",
                              "10/10", "10", "3.5", "yes", "ok"]
     assert rss.split()[-5:] == ["0/10", "0", "0", "no", "ok"]
+
+
+# Parent runs whose interquartile range, 27.5, is 27.5 % of their median, 100.
+WIDE = [60.0, 140.0, 85.0, 115.0, 100.0, 70.0, 130.0, 90.0, 110.0, 100.0]
+
+
+def test_spread_wider_than_the_bound_is_unresolved():
+    ab = _load_abpairs()
+    q1, q2, q3 = ab.quartiles(WIDE)
+    assert (q2, q3 - q1) == (100.0, 27.5)
+    # the same runs again, or 5 % better or worse: the bound of 25 % cannot tell
+    for scale in (1.0, 1.05, 0.95):
+        v = ab.verdict(WIDE, [p * scale for p in WIDE], "higher", 0.25)
+        assert v["within_bound"] and v["unresolved"], scale
+    # a bound wider than the spread resolves them
+    assert not ab.verdict(WIDE, WIDE, "higher", 0.35)["unresolved"]
+    # every change run better than every parent run: resolved, whichever the direction
+    assert not ab.verdict(WIDE, [141.0 + p for p in WIDE], "higher", 0.25)["unresolved"]
+    assert not ab.verdict(WIDE, [p - 81.0 for p in WIDE], "lower", 0.25)["unresolved"]
+    # one change run that only ties the best parent run is not enough
+    change = [141.0 + p for p in WIDE]
+    change[0] = 140.0
+    assert ab.verdict(WIDE, change, "higher", 0.25)["unresolved"]
+
+    def run(items):
+        return {"correct": True, "attempted": 4, "failed": 0,
+                "metrics": {"items_per_s": {"value": items, "unit": "1/s"}}}
+
+    metrics = [{"name": "items_per_s", "better": "higher", "bound": 0.25}]
+    _, same = ab.report(metrics, {"parent": [run(p) for p in WIDE], "change": [run(p) for p in WIDE]})
+    assert same.split()[-2:] == ["no", "unresolved"]
+    _, clear = ab.report(metrics, {"parent": [run(p) for p in WIDE], "change": [run(p + 141.0) for p in WIDE]})
+    assert clear.split()[-2:] == ["yes", "ok"]

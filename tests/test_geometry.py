@@ -1,10 +1,12 @@
+import importlib.util
 import itertools
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from minleg import cli, geometry, jets, zoo
+from minleg import cli, geometry, jets, verify, zoo
 from minleg.geometry import (
     DEGENERACY_TOL,
     DegeneratePointError,
@@ -302,10 +304,11 @@ def _check_against_references(monkeypatch):
         checked.append(("factor", metric.shape))
         return tangents, metric, a, vol
 
-    def checked_eigen(s):
-        got = eigen(s)
-        values, vectors = reference_sym_eigen(s)
-        assert same_bits(got.values, values) and same_bits(got.vectors, vectors), s.shape
+    def checked_eigen(s, vectors=True):
+        got = eigen(s, vectors=vectors)
+        values, want_vectors = reference_sym_eigen(s)
+        assert same_bits(got.values, values), s.shape
+        assert same_bits(got.vectors, want_vectors) if vectors else got.vectors is None, s.shape
         checked.append(("eigen", s.shape))
         return got
 
@@ -328,7 +331,7 @@ def test_batch_last_kernels_match_references_on_roster_and_sweeps(monkeypatch):
         integral_p1(entry.chart, grid=spec)
         pinching_scan(entry.chart, grid=spec, quantity="pinch")
     kinds = [kind for kind, _ in checked]
-    assert kinds.count("factor") >= 2 * 24 + 4 and kinds.count("eigen") >= 24 + 4
+    assert kinds.count("factor") == kinds.count("eigen") >= 24 + 4
     assert (("factor", (1000, 3, 3)) in checked) and (("eigen", (625, 4, 4)) in checked)
 
 
@@ -433,10 +436,22 @@ def _symmetry_defect_all_six(sigma):
                           axis=(-3, -2, -1)) for p in itertools.permutations(range(3))], axis=0)
 
 
-def test_sigma_symmetry_defect_matches_all_six_permutations():
+def _roster_verify_lines():
+    """The verify command lines of the byte roster of tools/bytecheck.py."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "bytecheck.py"
+    spec = importlib.util.spec_from_file_location("bytecheck", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [argv for argv in module.ROSTER if argv[0] == "verify"]
+
+
+def test_sigma_symmetry_defect_matches_all_six_permutations(monkeypatch, capsys):
     # the two 3-cycles are inverse to each other and give the same maximum, so
-    # dropping one keeps every bit; random, symmetrized and near-symmetric
-    # tensors, stacks and single points, and the zoo's sigmas
+    # dropping one keeps every bit, and so does folding the four differences
+    # into one running elementwise maximum reduced once; random, symmetrized
+    # and near-symmetric tensors, tensors with signed zeros and NaNs, stacks and
+    # single points, the zoo's sigmas, and every sigma batch of the byte
+    # roster's verify lines
     rng = np.random.default_rng(11)
     cases = []
     for n in (1, 2, 3, 5, 8):
@@ -444,11 +459,36 @@ def test_sigma_symmetry_defect_matches_all_six_permutations():
         sym = sum(np.transpose(raw, (0,) + tuple(1 + k for k in p)) for p in itertools.permutations(range(3))) / 6
         near = sym + 1e-15 * rng.standard_normal(sym.shape)
         cases += [raw, sym, near, raw[0], near[0]]
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3, 5, 8):
+        zeros = np.where(rng.random((30, n, n, n)) < 0.5, -0.0, 0.0)
+        sparse = np.where(rng.random(zeros.shape) < 0.7, zeros, rng.standard_normal(zeros.shape))
+        nan = np.where(rng.random(zeros.shape) < 0.02, np.nan, sparse)
+        nan[3, 0, 0, 0] = np.nan
+        assert np.isnan(sigma_symmetry_defect(nan)[3])
+        cases += [zeros, sparse, nan, zeros[0], nan[3]]
     cases += [_sigma(entry.chart, _points(entry.chart, 15, seed=6)) for entry in ENTRIES]
-    for sigma in cases:
+
+    def checked(sigma):
         got = sigma_symmetry_defect(sigma)
         assert np.shape(got) == sigma.shape[:-3]
         assert np.array_equal(_bits(got), _bits(_symmetry_defect_all_six(sigma))), sigma.shape
+        return got
+
+    for sigma in cases:
+        checked(sigma)
+    batches = []
+
+    def checked_in_verify(sigma):
+        batches.append(sigma.shape)
+        return checked(sigma)
+
+    monkeypatch.setattr(verify, "sigma_symmetry_defect", checked_in_verify)
+    lines = _roster_verify_lines()
+    for argv in lines:
+        cli.main(argv)
+    capsys.readouterr()
+    assert len(batches) >= len(lines) >= 30
 
 
 def test_minimality_and_legendrian_on_zoo():
@@ -743,6 +783,28 @@ def test_scalar_curvature_from_given_jets_is_bit_identical(monkeypatch):
                 given = scalar_curvature_intrinsic(chart, u, jets=jets)
             assert type(given) is type(own) and isinstance(given, float) == (u.ndim == 1), entry.name
             assert np.array_equal(_bits(given), _bits(own)), (entry.name, u.shape)
+
+
+def test_oracle_given_the_pass_factor_is_bit_identical(monkeypatch):
+    # verify_chart hands the oracle the change of basis a of its batched pass
+    # as well as the jets: given them, the oracle factors and evaluates nothing
+    # and returns the bits of a stand-alone call, on the roster's curvature
+    # samples and near the pole margin up to n = 13, for a stack of samples
+    # behind other points of a batch and for one point
+    def refuse(*args):
+        raise AssertionError("the oracle computed what it was given")
+
+    for entry, u in _factor_samples():
+        chart = entry.chart
+        pd = point_data(chart, np.concatenate([_points(chart, 3, seed=5), u]))
+        own, own_one = scalar_curvature_intrinsic(chart, u), scalar_curvature_intrinsic(chart, u[0])
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "metric_factor", refuse)
+            m.setattr(chart, "jet_eval", refuse)
+            given = scalar_curvature_intrinsic(chart, u, jets=(pd.jac[3:], pd.hess[3:], pd.frame.a[3:]))
+            one = scalar_curvature_intrinsic(chart, u[0], jets=(pd.jac[3], pd.hess[3], pd.frame.a[3]))
+        assert np.array_equal(_bits(given), _bits(own)), entry.name
+        assert isinstance(one, float) and np.array_equal(_bits(one), _bits(own_one)), entry.name
 
 
 # Largest Gauss gap at verify's 20 sample points for grid seed 0, as measured

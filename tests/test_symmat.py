@@ -176,8 +176,11 @@ def test_eigen_named_examples():
 def test_eigen_convergence_error(monkeypatch):
     monkeypatch.setattr(symmat, "MAX_SWEEPS", 0)
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(JacobiConvergenceError):
-        sym_eigen(a)
+    for vectors in (True, False):
+        with pytest.raises(JacobiConvergenceError):
+            sym_eigen(a, vectors=vectors)
+        with pytest.raises(JacobiConvergenceError):
+            sym_eigen(np.stack([np.eye(2), a]), vectors=vectors)
 
 
 def test_eigen_input_not_mutated():
@@ -205,12 +208,22 @@ def test_eigen_batched_matches_single_calls():
             assert np.array_equal(res.vectors[k], one.vectors), (n, k)
 
 
+def _assert_solves_match(a, values, vectors, case):
+    """sym_eigen(a) gives these bits, and sym_eigen(a, vectors=False) the same
+    value bits and no vectors."""
+    res = sym_eigen(a)
+    assert same_bits(res.values, values) and same_bits(res.vectors, vectors), case
+    only = sym_eigen(a, vectors=False)
+    assert same_bits(only.values, values) and only.vectors is None, case
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_eigen_matches_batch_major_reference(n):
     # stacks that mix zero, diagonal, dense and partly converged matrices (off
     # the diagonal by 1e-15 to 1e-13 of their norm, near the stopping rule), so
     # pivots rotate all, some or none of the matrices; every matrix must keep
-    # the bits of the batch-major lockstep solve, and so must one matrix alone
+    # the bits of the batch-major lockstep solve, and so must one matrix alone,
+    # and the values of a values-only solve
     rng = np.random.default_rng(700 + n)
     for count in (1, 7, 64):
         stack = np.stack([random_symmetric(rng, n, scale=10.0 ** rng.uniform(-3, 3)) for _ in range(count)])
@@ -223,10 +236,10 @@ def test_eigen_matches_batch_major_reference(n):
             near = 10.0 ** rng.uniform(-15, -13) * random_symmetric(rng, n)
             stack[k] = np.diag(rng.standard_normal(n)) + near
         values, vectors = reference_sym_eigen(stack)
-        res = sym_eigen(stack)
-        assert same_bits(res.values, values) and same_bits(res.vectors, vectors), count
-        one = sym_eigen(stack[0])
-        assert same_bits(one.values, values[0]) and same_bits(one.vectors, vectors[0])
+        _assert_solves_match(stack, values, vectors, count)
+        _assert_solves_match(stack[0], values[0], vectors[0], count)
+    # an empty stack solves to empty values and vectors
+    _assert_solves_match(np.zeros((0, n, n)), np.zeros((0, n)), np.zeros((0, n, n)), 0)
 
 
 def _stack_on_the_stopping_rule(rng, n):
@@ -270,5 +283,4 @@ def test_eigen_stopping_rule_sums_batch_major():
     for n in (4, 6):
         stack = _stack_on_the_stopping_rule(rng, n)
         values, vectors = reference_sym_eigen(stack)
-        res = sym_eigen(stack)
-        assert same_bits(res.values, values) and same_bits(res.vectors, vectors), n
+        _assert_solves_match(stack, values, vectors, n)

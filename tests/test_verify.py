@@ -1,16 +1,19 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from minleg import NumericalFailure, verify, zoo
+from minleg import NumericalFailure, geometry, verify, zoo
 from minleg.geometry import (
+    DegeneratePointError,
     ImmersionChart,
     Interval,
     legendrian_residual,
     minimality_residual,
     point_data,
+    scalar_curvature_intrinsic,
     sigma_symmetry_defect,
 )
 from minleg.verify import (
@@ -373,6 +376,49 @@ def test_verify_evaluates_each_point_once(monkeypatch):
             calls.clear()
             verify_chart(entry, GridSpec(points_per_dim=4))
             assert calls == _flat_batches(rows, n), entry.name
+
+
+@pytest.mark.parametrize("entry, grid, boxes", [(zoo.equivariant_sphere3(), 4, 1), (zoo.calabi_torus(8), 3, 52)],
+                         ids=["equivariant-s3", "calabi-n8"])
+def test_verify_factors_each_metric_once(monkeypatch, entry, grid, boxes):
+    # the oracle reads the pass's factor of its samples' metric, so each box,
+    # with curvature samples or without, makes one metric_factor call: one box
+    # of 85 rows, and 52 boxes of 6582 rows, the 20 samples in the last
+    calls = Counter()
+    factor, data = geometry.metric_factor, verify.point_data
+
+    def counted_factor(u, jac):
+        calls["factor"] += 1
+        return factor(u, jac)
+
+    def counted_data(chart, u):
+        calls["box"] += 1
+        return data(chart, u)
+
+    monkeypatch.setattr(geometry, "metric_factor", counted_factor)
+    monkeypatch.setattr(verify, "point_data", counted_data)
+    assert verify_chart(entry, grid=GridSpec(points_per_dim=grid, seed=0)).passed
+    assert calls["factor"] == calls["box"] == boxes, calls
+
+
+def test_degenerate_curvature_sample_names_its_point(monkeypatch):
+    # a curvature sample on the pole of geodesic-sphere n=3 fails verify with
+    # the message that the stand-alone oracle gives for it, naming that point
+    entry, pole = zoo.geodesic_sphere(3), [0.0, 1.0, 1.0]
+    draw = verify.sample_points
+
+    def with_pole(chart, count, seed):
+        pts = draw(chart, count, seed)
+        if count == 20:
+            pts[11] = pole
+        return pts
+
+    monkeypatch.setattr(verify, "sample_points", with_pole)
+    with pytest.raises(DegeneratePointError) as want:
+        scalar_curvature_intrinsic(entry.chart, with_pole(entry.chart, 20, 7))
+    with pytest.raises(DegeneratePointError) as got:
+        verify_chart(entry, grid=GridSpec(points_per_dim=4, seed=0))
+    assert str(got.value) == str(want.value) and str(pole) in str(got.value)
 
 
 def test_sweep_batch_rule():

@@ -17,7 +17,10 @@ last line, one JSON object with every run's metrics and each verdict:
 - gain: the change won at least nine tenths of the pairs, and its median is
   better than the parent's by more than the parent's interquartile range;
 - bound: the change's median is worse than the parent's by no more than the
-  metric's bound, a fraction of the parent's median.
+  metric's bound, a fraction of the parent's median.  Where the parent's
+  interquartile range is wider than that bound, the runs cannot tell, and the
+  bound column reads "unresolved" instead, unless every change run is better
+  than every parent run.
 
 A run that exits non-zero, or reports an incorrect output or a failed
 operation, stops the tool with exit code 1.  Nothing under ``bench/`` is read
@@ -59,11 +62,13 @@ def verdict(parent, change, better: str, bound: float) -> dict:
     pq, cq = quartiles(parent), quartiles(change)
     gap = sign * (cq[1] - pq[1]) + 0.0  # > 0 when the change's median is better; no -0.0
     iqr = pq[2] - pq[0]
+    every_run_better = min(sign * c for c in change) > max(sign * p for p in parent)
     return {
         "parent": pq, "change": cq, "won": won, "lost": lost, "pairs": len(parent),
         "gap": gap, "parent_iqr": iqr,
         "gain": won >= math.ceil(GAIN_SHARE * len(parent)) and gap > iqr,
         "within_bound": -gap <= bound * abs(pq[1]),
+        "unresolved": iqr > bound * abs(pq[1]) and not every_run_better,
     }
 
 
@@ -93,6 +98,12 @@ def verdicts(metrics: list[dict], runs: dict) -> dict:
                                m["better"], m["bound"]) for m in metrics}
 
 
+def _bound_column(v: dict) -> str:
+    if v["unresolved"]:
+        return "unresolved"
+    return "ok" if v["within_bound"] else "WORSE"
+
+
 def report(metrics: list[dict], runs: dict) -> list[str]:
     """Printed lines for runs = {"parent": [result, ...], "change": [...]}."""
     lines = [f"{'metric':<14} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34}"
@@ -104,7 +115,7 @@ def report(metrics: list[dict], runs: dict) -> list[str]:
 
         lines.append(f"{name:<14} {side(v['parent']):>34} {side(v['change']):>34}"
                      f" {v['won']:>3}/{v['pairs']:<2} {v['gap']:>10.4g} {v['parent_iqr']:>10.4g}"
-                     f"  {'yes' if v['gain'] else 'no':<5} {'ok' if v['within_bound'] else 'WORSE'}")
+                     f"  {'yes' if v['gain'] else 'no':<5} {_bound_column(v)}")
     return lines
 
 
