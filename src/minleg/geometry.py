@@ -131,9 +131,13 @@ def evaluate_points(chart: ImmersionChart, u) -> tuple[np.ndarray, ...]:
     f, jac, hess = chart.jet_eval(u)
     if not isinstance(u, tuple):
         return np.asarray(u, dtype=float), f, jac, hess
-    points = np.stack([x.ravel() for x in np.broadcast_arrays(*u)], axis=-1)
     lead = f.ndim - 1
-    return (points,) + tuple(a.reshape((-1,) + a.shape[lead:]) for a in (f, jac, hess))
+    return (mesh_rows(u),) + tuple(a.reshape((-1,) + a.shape[lead:]) for a in (f, jac, hess))
+
+
+def mesh_rows(mesh) -> np.ndarray:
+    """The points of an open mesh as a stack (P, n), in C order."""
+    return np.stack([x.ravel() for x in np.broadcast_arrays(*mesh)], axis=-1)
 
 
 def apply_J(v) -> np.ndarray:
@@ -439,9 +443,9 @@ def scalar_curvature_intrinsic(chart: ImmersionChart, u, jets=None) -> float | n
     jets = (dF, d2F), as chart.jet_eval(u) returns them, skips that
     evaluation, and jets = (dF, d2F, a), with a = L^-1 as metric_factor gives
     it for dF, also skips the factor.  verify_chart passes the jets and the
-    change of basis its batched pass already holds for the sample points
-    (PointData.jac, .hess and .frame.a), so each point's metric is factored
-    once per report, and checked once.  The oracle stays independent: a
+    change of basis that the last box of its sweep already holds for the
+    sample points (PointData.jac, .hess and .frame.a), so each point's
+    metric is factored once per report, and checked once.  The oracle stays independent: a
     point's jets and factor have the same bits in any batch, so these are the
     values it would compute itself, and it still reads no sigma, J or frame e.
     """

@@ -33,6 +33,7 @@ from .geometry import (
     gauss_rank,
     induced_metric,
     legendrian_residual,
+    mesh_rows,
     minimality_residual,
     point_data,
     scalar_curvature_intrinsic,
@@ -43,11 +44,11 @@ from .zoo import ZooEntry
 
 # d2F entries per batched evaluation.  A batch of B points holds B (2n+2) n^2
 # of them, so low-dimensional charts get larger batches, and n >= 8 stays at
-# the floor of SWEEP_MIN_BATCH points.  integral, scan and chart_volume cut the
-# grid into C-order boxes of at most that many points, each evaluated as an
-# open mesh; verify_chart cuts its flat stack of grid rows and sample points
-# by the same rule, as a one-axis grid.  Every point is computed independently
-# of its batch or box, so the size bounds memory and never changes results.
+# the floor of SWEEP_MIN_BATCH points.  _sweep cuts the grid into C-order boxes
+# of at most that many points, each evaluated as an open mesh; verify_chart's
+# curvature samples and Simons point ride with the last box, as rows appended
+# to its points.  Every point is computed independently of its batch or box,
+# so the size bounds memory and never changes results.
 SWEEP_ENTRIES = 2**17
 SWEEP_MIN_BATCH = 128
 SAMPLE_MARGIN = 0.05
@@ -130,8 +131,7 @@ def grid_points(chart: ImmersionChart, spec: GridSpec) -> tuple[np.ndarray, np.n
     """(points, weights): the product of the axes' midpoint rules, flattened
     in C order.  Every point carries the cell volume as its weight."""
     axes, cell = grid_axes(chart, spec)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel(order="C") for m in mesh], axis=1)
+    pts = mesh_rows(np.ix_(*axes))
     return pts, np.full(pts.shape[0], cell)
 
 
@@ -172,11 +172,18 @@ def _boxes(counts: tuple[int, ...], size: int) -> list[tuple[slice, ...]]:
             for prefix in np.ndindex(*counts[:k]) for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _meshes(chart: ImmersionChart, spec: GridSpec):
-    """(open meshes of the grid's boxes in C order, cell volume)."""
+def _sweep(chart: ImmersionChart, spec: GridSpec, extra: np.ndarray | None = None):
+    """(u, weight) for each box of the grid in C order: u is the box as an
+    open mesh, weight the cell volume.  Extra rows ride with the last box,
+    which then comes as one point stack: its grid rows in C order, then the
+    extra rows."""
     axes, cell = grid_axes(chart, spec)
-    boxes = _boxes(tuple(len(a) for a in axes), _batch_size(chart.dim))
-    return [np.ix_(*(a[s] for a, s in zip(axes, box))) for box in boxes], cell
+    meshes = [np.ix_(*(a[s] for a, s in zip(axes, box)))
+              for box in _boxes(tuple(len(a) for a in axes), _batch_size(chart.dim))]
+    if extra is not None:
+        meshes[-1] = np.concatenate([mesh_rows(meshes[-1]), extra])
+    for u in meshes:
+        yield u, cell
 
 
 def _concat(parts) -> list[np.ndarray]:
@@ -305,34 +312,25 @@ def verify_chart(
     expected = entry if isinstance(entry, ZooEntry) else None
     chart = entry.chart if isinstance(entry, ZooEntry) else entry
     table = [row for row in CHECKS if expected is not None or row[1] != "value_tol"]
-    pts, wts = grid_points(chart, grid)
-    size = pts.shape[0]
     simons = expected is not None and expected.simons_tol is not None
     spts = sample_points(chart, 20, seed=grid.seed + 7)
-    # One batched pass over the grid rows, then the curvature samples, then the
-    # Simons point, cut as a one-axis grid; every check of the table, rank and
-    # spectrum reads the grid rows only, and the curvature oracle reads the
-    # samples' jets from the same pass, box by box.
-    rows = [pts, spts]
-    if simons:
-        rows.append(sample_points(chart, 1, seed=grid.seed + 101))
-    rows = np.concatenate(rows)
-    parts, r_intrinsic = [], []
-    for (box,) in _boxes((len(rows),), _batch_size(chart.dim)):
-        pd = point_data(chart, rows[box])
+    extra = np.concatenate([spts, sample_points(chart, 1, seed=grid.seed + 101)]) if simons else spts
+    # One sweep of the grid, with the curvature samples and then the Simons
+    # point riding as extra rows of the last box; every check of the table,
+    # rank and spectrum reads the grid rows only.
+    parts = []
+    for u, cell in _sweep(chart, grid, extra):
+        pd = point_data(chart, u)
         sp = pd.spectrum
         parts.append((sp.scalar, sp.lambdas, sp.normB2, sp.pinch, pd.frame.vol, gauss_rank(sp),
                       *(residual(pd, expected) for _, _, residual in table)))
-        # the box's curvature samples, if any, go to the oracle with their jets
-        # and the pass's factor of their metric
-        s = slice(max(size - box.start, 0), max(size + len(spts) - box.start, 0))
-        u = rows[box][s]
-        if len(u):
-            jets = (pd.jac[s], pd.hess[s], pd.frame.a[s])
-            r_intrinsic.append(scalar_curvature_intrinsic(chart, u, jets=jets))
     scalar, *columns = _concat(parts)
+    size = len(scalar) - len(extra)
     lambdas, normB2, pinch, sqrtdetg, ranks, *residuals = (column[:size] for column in columns)
-    r_gauss = scalar[size:size + len(spts)]
+    # the curvature samples go to the oracle with the last box's jets and its
+    # factor of their metric
+    s = slice(len(pd.jac) - len(extra), len(pd.jac) - len(extra) + len(spts))
+    r_intrinsic = scalar_curvature_intrinsic(chart, spts, jets=(pd.jac[s], pd.hess[s], pd.frame.a[s]))
 
     checks: list[CheckResult] = []
 
@@ -345,14 +343,14 @@ def verify_chart(
     add("gauss_rank", np.count_nonzero(ranks != (ranks[0] if expected is None else expected.gauss_rank)), 0.5)
 
     if simons:
-        # the Simons point is the last row of the last batch
+        # the Simons point is the last row of the last box
         add("simons", simons_residual(pd.sigma[-1]), expected.simons_tol, hard=expected.simons_hard)
 
-    add("scalar_curvature", np.max(np.abs(np.concatenate(r_intrinsic) - r_gauss)), tolerances.geometry)
+    add("scalar_curvature", np.max(np.abs(r_intrinsic - scalar[size:size + len(spts)])), tolerances.geometry)
 
     integrals = {}
     if chart.closed:
-        integrals["p1"], integrals["volume"] = _p1_and_volume(lambdas, normB2, sqrtdetg, wts)
+        integrals["p1"], integrals["volume"] = _p1_and_volume(lambdas, normB2, sqrtdetg, cell)
         add("integral_p1_nonpositive", max(0.0, integrals["p1"]), tolerances.quadrature)
 
     spectra = {
@@ -380,17 +378,19 @@ def integral_p1(chart: ImmersionChart, grid: GridSpec = GridSpec()) -> float:
     """Quadrature of lambda_1 (n + 1 - |B|^2 - lambda_2) over the chart."""
     if not chart.closed:
         raise ValueError(f"chart {chart.name} does not cover a closed manifold")
-    meshes, cell = _meshes(chart, grid)
-    pds = (point_data(chart, mesh) for mesh in meshes)
-    columns = _concat((pd.spectrum.lambdas, pd.spectrum.normB2, pd.frame.vol) for pd in pds)
-    return _p1_and_volume(*columns, cell)[0]
+    parts = []
+    for u, cell in _sweep(chart, grid):
+        pd = point_data(chart, u)
+        parts.append((pd.spectrum.lambdas, pd.spectrum.normB2, pd.frame.vol))
+    return _p1_and_volume(*_concat(parts), cell)[0]
 
 
 def chart_volume(chart: ImmersionChart, grid: GridSpec = GridSpec()) -> float:
     """Quadrature of sqrt(det G); doubling the grid should barely move it."""
-    meshes, cell = _meshes(chart, grid)
-    vols = [induced_metric(pts, jac)[1]
-            for pts, _, jac, _ in (evaluate_points(chart, mesh) for mesh in meshes)]
+    vols = []
+    for u, cell in _sweep(chart, grid):
+        pts, _, jac, _ = evaluate_points(chart, u)
+        vols.append(induced_metric(pts, jac)[1])
     return float(np.sum(np.concatenate(vols) * cell))
 
 
@@ -423,8 +423,7 @@ def pinching_scan(chart: ImmersionChart, grid: GridSpec = GridSpec(),
         raise ValueError(f"unknown quantity {quantity!r}; use one of "
                          f"{', '.join(QUANTITIES)} or lambda_<k> with k in 1..{n}")
     pts, _ = grid_points(chart, grid)
-    meshes, _ = _meshes(chart, grid)
-    values = np.concatenate([column(point_data(chart, mesh).spectrum) for mesh in meshes])
+    values = np.concatenate([column(point_data(chart, u).spectrum) for u, _ in _sweep(chart, grid)])
     if quantity == "R_plus_mu2":
         # pinch + (R + mu_2) = n^2 - 1 pointwise
         values = (n * n - 1.0) - values

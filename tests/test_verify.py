@@ -355,35 +355,49 @@ def test_sweep_chunk_size_invariant(monkeypatch):
 
 
 def test_verify_evaluates_each_point_once(monkeypatch):
-    # the curvature oracle reads the jets of the batched pass, so verify_chart
-    # calls jet_eval once per box of its flat pass, on every row exactly once;
-    # with 13-point boxes the curvature samples straddle boxes
+    # the curvature oracle reads the jets of the sweep, so verify_chart calls
+    # jet_eval once per box of the grid: each box but the last as an open
+    # mesh, and the last as a point stack of its grid rows, then the 20
+    # curvature samples and the Simons point.  Every grid point and every
+    # extra row is evaluated exactly once, in that order.
     calls = []
     jet_eval = ImmersionChart.jet_eval
 
-    def counted(self, u):
-        calls.append(len(u))
+    def recorded(self, u):
+        mesh = isinstance(u, tuple)
+        calls.append((mesh, geometry.mesh_rows(u) if mesh else np.array(u)))
         return jet_eval(self, u)
 
-    monkeypatch.setattr(ImmersionChart, "jet_eval", counted)
+    monkeypatch.setattr(ImmersionChart, "jet_eval", recorded)
     default = (verify.SWEEP_MIN_BATCH, verify.SWEEP_ENTRIES)
+    spec = GridSpec(points_per_dim=4)
     for entry in zoo.default_entries():
-        n = entry.chart.dim
-        rows = 4**n + 20 + (entry.simons_tol is not None)
+        chart, n = entry.chart, entry.chart.dim
+        extra = [sample_points(chart, 20, seed=7)]
+        if entry.simons_tol is not None:
+            extra.append(sample_points(chart, 1, seed=101))
+        pts, _ = grid_points(chart, spec)
+        rows = np.concatenate([pts, *extra])
         for floor, entries in (default, (1, 13 * (2 * n + 2) * n * n)):
             monkeypatch.setattr(verify, "SWEEP_MIN_BATCH", floor)
             monkeypatch.setattr(verify, "SWEEP_ENTRIES", entries)
             calls.clear()
-            verify_chart(entry, GridSpec(points_per_dim=4))
-            assert calls == _flat_batches(rows, n), entry.name
+            verify_chart(entry, spec)
+            sizes = [math.prod(len(range(4)[s]) for s in box)
+                     for box in verify._boxes((4,) * n, verify._batch_size(n))]
+            sizes[-1] += len(rows) - len(pts)
+            assert [len(u) for _, u in calls] == sizes, entry.name
+            assert [mesh for mesh, _ in calls] == [True] * (len(sizes) - 1) + [False], entry.name
+            assert np.array_equal(np.concatenate([u for _, u in calls]), rows), entry.name
 
 
-@pytest.mark.parametrize("entry, grid, boxes", [(zoo.equivariant_sphere3(), 4, 1), (zoo.calabi_torus(8), 3, 52)],
+@pytest.mark.parametrize("entry, grid, boxes", [(zoo.equivariant_sphere3(), 4, 1), (zoo.calabi_torus(8), 3, 81)],
                          ids=["equivariant-s3", "calabi-n8"])
 def test_verify_factors_each_metric_once(monkeypatch, entry, grid, boxes):
-    # the oracle reads the pass's factor of its samples' metric, so each box,
+    # the oracle reads the sweep's factor of its samples' metric, so each box,
     # with curvature samples or without, makes one metric_factor call: one box
-    # of 85 rows, and 52 boxes of 6582 rows, the 20 samples in the last
+    # of 64 grid points and 21 extra rows, and 81 boxes of 81 grid points, the
+    # 20 samples and the Simons point in the last
     calls = Counter()
     factor, data = geometry.metric_factor, verify.point_data
 
@@ -429,16 +443,6 @@ def test_sweep_batch_rule():
         size = verify._batch_size(n)
         assert size == max(verify.SWEEP_MIN_BATCH, verify.SWEEP_ENTRIES // ((2 * n + 2) * n * n))
         assert (size == 128) == (n >= 8), n
-        # verify's flat pass, the one-axis grid: equal batches, to within one point
-        sizes = _flat_batches(1000, n)
-        assert sum(sizes) == 1000 and max(sizes) <= size and max(sizes) - min(sizes) <= 1, n
-    assert _flat_batches(3000, 3) == [1500, 1500]
-    assert _flat_batches(3641, 3) == [1213, 1214, 1214]
-
-
-def _flat_batches(points, n):
-    """Batch sizes of verify's flat pass over this many points of an n-dim chart."""
-    return [box.stop - box.start for (box,) in verify._boxes((points,), verify._batch_size(n))]
 
 
 @pytest.mark.parametrize("counts", [
@@ -446,8 +450,8 @@ def _flat_batches(points, n):
     (40, 2, 2), (2, 2, 300), (7, 3, 5), (2, 5000), (5000, 2), (3, 7, 2, 11), (2,) * 6 + (150,),
 ], ids=lambda c: "x".join(map(str, c)))
 def test_sweep_boxes_tile_the_grid(counts):
-    # the boxes of integral, scan and chart_volume tile the grid in C order,
-    # each one a contiguous run of grid_points within the batch budget
+    # the boxes of the sweep tile the grid in C order, each one a contiguous
+    # run of grid_points within the batch budget
     size = verify._batch_size(len(counts))
     flat = []
     for box in verify._boxes(counts, size):
@@ -457,6 +461,27 @@ def test_sweep_boxes_tile_the_grid(counts):
     assert np.array_equal(np.concatenate(flat), np.arange(math.prod(counts)))
     # the ranges along the cut axis are equal to within one index
     assert len({idx.size for idx in flat}) <= 2
+
+
+def test_drivers_share_one_sweep(monkeypatch):
+    # verify_chart, integral_p1, chart_volume and pinching_scan read one sweep
+    # of the grid, so verify's integrals and extremes have the other drivers'
+    # bits, in whole boxes and in boxes of 13 points
+    default = (verify.SWEEP_MIN_BATCH, verify.SWEEP_ENTRIES)
+    spec = GridSpec(points_per_dim=8)
+    for entry in zoo.default_entries():
+        chart, n = entry.chart, entry.chart.dim
+        for floor, entries in (default, (1, 13 * (2 * n + 2) * n * n)):
+            monkeypatch.setattr(verify, "SWEEP_MIN_BATCH", floor)
+            monkeypatch.setattr(verify, "SWEEP_ENTRIES", entries)
+            report = verify_chart(entry, spec)
+            if chart.closed:
+                assert report.integrals["p1"].hex() == integral_p1(chart, spec).hex(), entry.name
+                assert report.integrals["volume"].hex() == chart_volume(chart, spec).hex(), entry.name
+            for quantity in ("pinch", "normB2"):
+                scan = pinching_scan(chart, spec, quantity=quantity)
+                assert report.spectra[f"{quantity}_min"].hex() == scan.vmin.hex(), (entry.name, quantity)
+                assert report.spectra[f"{quantity}_max"].hex() == scan.vmax.hex(), (entry.name, quantity)
 
 
 def test_integral_and_scan_skip_residuals(monkeypatch):

@@ -11,19 +11,18 @@ from minleg.geometry import (
     point_data,
     scalar_curvature_intrinsic,
 )
-from minleg.verify import GridSpec, _meshes, grid_axes, grid_points, sample_points, verify_chart
+from minleg.verify import GridSpec, _sweep, grid_axes, grid_points, sample_points, verify_chart
 
 
 def _sweep_stats(entry, grid=None):
     """Residual and value extremes over the default midpoint grid."""
     chart = entry.chart
-    meshes, _ = _meshes(chart, grid or GridSpec())
     out = {
         "leg": 0.0, "min": 0.0, "sphere": 0.0,
         "normB2": 0.0, "lambdas": 0.0, "pinch": 0.0, "ranks": set(),
     }
     want_lam = np.asarray(entry.lambdas)
-    for pd in (point_data(chart, mesh) for mesh in meshes):
+    for pd in (point_data(chart, u) for u, _ in _sweep(chart, grid or GridSpec())):
         fr = pd.frame
         out["leg"] = max(out["leg"], np.max(legendrian_residual(fr)))
         out["min"] = max(out["min"], np.max(minimality_residual(pd.sigma)))

@@ -47,7 +47,10 @@ The roster:
   (the hard psd check and the soft simons check fail), so the pass and
   ``hard`` logic of failing reports is pinned too;
 - ``verify --no-timing`` on the flat torus T^3 (``flat-torus --n 3``) at
-  grid 4, a generated entry outside the default roster.
+  grid 4, a generated entry outside the default roster;
+- ``verify --no-timing`` on equivariant-s3 at the default grid, 16^3 points
+  in boxes of 1280, 1280 and 1536, so that its curvature samples ride with
+  a last box larger than the others.
 
     python3 tools/bytecheck.py --kernels
 
@@ -131,6 +134,7 @@ ROSTER = (
         "--no-timing"],
        ["verify", "--example", "equivariant-s3", "--grid", "4", "--tol-alg", "0", "--no-timing"]]
     + [["verify", "--no-timing", "--example", "flat-torus", "--n", "3", "--grid", "4", "--seed", "0"]]
+    + [["verify", "--no-timing", "--example", "equivariant-s3", "--seed", "0"]]
 )
 
 
