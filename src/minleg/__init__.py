@@ -93,7 +93,6 @@ from .zoo import (
     calabi_torus,
     default_entries,
     equivariant_sphere3,
-    flat_legendrian_torus,
     flat_torus,
     geodesic_sphere,
     get_entry,

@@ -41,7 +41,6 @@ from .verify import (GRID_CAP, GridSpec, Tolerances, _fmt_float, integral_p1, pi
 from .zoo import PARAMETRIC, default_entries, get_entry
 
 VERIFY_FAIL = 1
-NUMERICAL_FAILURE = 3  # NumericalFailure.exit_code
 
 # glibc's mallopt parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, and the
 # values main() gives them.  32 MB is glibc's own ceiling for its dynamic mmap

@@ -11,12 +11,11 @@ factor of the induced metric, extracts the cubic form
 which for a minimal Legendrian immersion is fully symmetric, and derives
 from it the fundamental matrix S_lj = sum_ts sigma_tsl sigma_tsj, its
 spectrum, the squared second-fundamental-form norm, the pinching quantity
-|B|^2 + lambda_2, Ricci and scalar curvature, and the residuals of the
-identities these objects must satisfy (Legendrian contact conditions,
-minimality, full symmetry, the Simons-type matrix identity for parallel
-examples).  Contraction against J e_k needs no normal projection: J e_k is
-orthogonal to F and to the tangent space, so tangential and radial parts of
-d2F drop out.
+|B|^2 + lambda_2, and the residuals of the identities these objects must
+satisfy (Legendrian contact conditions, minimality, full symmetry, the
+Simons-type matrix identity for parallel examples).  Contraction against
+J e_k needs no normal projection: J e_k is orthogonal to F and to the
+tangent space, so tangential and radial parts of d2F drop out.
 
 Complex structure convention: coordinate pairs (x_{2k-1}, x_{2k}) realify
 z_k = x_{2k-1} + i x_{2k}, and J(x_{2k-1}, x_{2k}) = (-x_{2k}, x_{2k-1}).
@@ -246,12 +245,6 @@ def metric_factor(u, jac) -> tuple[np.ndarray, ...]:
     return tangents, metric, a, np.multiply.reduce(diag, axis=0)
 
 
-def induced_metric(u, jac) -> tuple[np.ndarray, np.ndarray]:
-    """(G, sqrt(det G)) of the coordinate tangents jac, shape B + (2n+2, n)."""
-    _, metric, _, vol = metric_factor(u, jac)
-    return metric, vol
-
-
 def _frame_from(u, f, jac) -> PointFrame:
     """Frame from the Cholesky factor of the metric, G = L L^T: a = L^-1, e = a dF^T.
 
@@ -329,35 +322,25 @@ def fundamental_matrix(sigma: np.ndarray) -> np.ndarray:
 class Spectrum:
     """Eigen data of a fundamental matrix (or a stack of them).
 
-    lambdas descending; normB2 = trace = |B|^2; pinch = |B|^2 + lambda_2;
-    ricci_eigs ascending (mu_i = n - 1 - lambda_i); scalar = n(n-1) - |B|^2.
+    lambdas descending; normB2 = trace = |B|^2; pinch = |B|^2 + lambda_2.
     """
 
     lambdas: np.ndarray
     normB2: float | np.ndarray
     pinch: float | np.ndarray
-    ricci_eigs: np.ndarray
-    scalar: float | np.ndarray
 
 
 def spectrum_of(s: np.ndarray) -> Spectrum:
     """Spectrum of a fundamental matrix or a stack of them, from a values-only
     Jacobi solve: nothing downstream reads the eigenvectors."""
     values = sym_eigen(s, vectors=False).values
-    n = values.shape[-1]
-    if n < 2:
+    if values.shape[-1] < 2:
         raise ValueError("spectrum needs n >= 2 (lambda_2 is used)")
     lowest = np.min(values[..., -1])
     if lowest < -PSD_TOL:
         raise NonPSDError(f"fundamental matrix has eigenvalue {lowest:.3e} < -{PSD_TOL}")
     norm_b2 = values.sum(axis=-1)
-    return Spectrum(
-        lambdas=values,
-        normB2=norm_b2,
-        pinch=norm_b2 + values[..., 1],
-        ricci_eigs=(n - 1.0) - values,
-        scalar=n * (n - 1.0) - norm_b2,
-    )
+    return Spectrum(lambdas=values, normB2=norm_b2, pinch=norm_b2 + values[..., 1])
 
 
 def gauss_rank(spec: Spectrum) -> int | np.ndarray:
@@ -435,26 +418,23 @@ def scalar_curvature_intrinsic(chart: ImmersionChart, u, jets=None) -> float | n
     never touches sigma, the complex structure or the tangent frame e, so it
     is the independent oracle for the Gauss-equation relation
     R = n(n-1) - |B|^2, and it sees a wrong component of d2F along F or JF,
-    which sigma misses.  Being exact, it no longer compares
-    d2F against differences of dF at nearby points; derivative_cross_check
-    does that.  u of shape (n,) gives a float; a stack of shape (N, n) gives
-    shape (N,), from one batched jet evaluation.
+    which sigma misses.  u of shape (n,) gives a float; a stack of shape
+    (N, n) gives shape (N,), from one batched jet evaluation.
 
-    jets = (dF, d2F), as chart.jet_eval(u) returns them, skips that
-    evaluation, and jets = (dF, d2F, a), with a = L^-1 as metric_factor gives
-    it for dF, also skips the factor.  verify_chart passes the jets and the
-    change of basis that the last box of its sweep already holds for the
-    sample points (PointData.jac, .hess and .frame.a), so each point's
-    metric is factored once per report, and checked once.  The oracle stays independent: a
-    point's jets and factor have the same bits in any batch, so these are the
-    values it would compute itself, and it still reads no sigma, J or frame e.
+    jets = (dF, d2F, a), as PointData.jac, .hess and .frame.a hold them for u,
+    skips the jet evaluation and the factor: verify_chart passes those of its
+    sweep's last box, so each point's metric is factored once per report, and
+    checked once.  The oracle stays independent: a point's jets and factor
+    have the same bits in any batch, so these are the values it would compute
+    itself, and it still reads no sigma, J or frame e.
     """
     u = np.asarray(u, dtype=float)
-    jac, hess, *factor = chart.jet_eval(u)[1:] if jets is None else jets
-    if factor:
-        tangents, a = _contiguous_t(jac), factor[0]
-    else:
+    if jets is None:
+        _, jac, hess = chart.jet_eval(u)
         tangents, _, a, _ = metric_factor(u, jac)
+    else:
+        jac, hess, a = jets
+        tangents = _contiguous_t(jac)
     ginv = _contiguous_t(a) @ a
     batch, n = jac.shape[:-2], jac.shape[-1]
     flat = hess.reshape(batch + (-1, n * n))

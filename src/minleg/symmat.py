@@ -1,9 +1,11 @@
 """Dense symmetric-matrix kernel.
 
 Hilbert-Schmidt inner products, commutators, and a deterministic cyclic
-Jacobi eigensolver.  Everything downstream (fundamental matrices, spectra,
-the commutator-norm bound) is built on these four functions, so they stay
-dependency-free apart from numpy arrays.
+Jacobi eigensolver, dependency-free apart from numpy arrays.  The program
+reads two of them: sym_eigen gives the spectra of fundamental matrices, and
+symmetrize the symmetric copies of the Lu-inequality families (lu_inequality
+sums its own squares).  The Frobenius helpers and commutator serve the demos
+and an independent reference form of the commutator-norm bound.
 """
 
 from __future__ import annotations

@@ -31,9 +31,9 @@ from .geometry import (
     ImmersionChart,
     evaluate_points,
     gauss_rank,
-    induced_metric,
     legendrian_residual,
     mesh_rows,
+    metric_factor,
     minimality_residual,
     point_data,
     scalar_curvature_intrinsic,
@@ -312,7 +312,7 @@ def verify_chart(
     expected = entry if isinstance(entry, ZooEntry) else None
     chart = entry.chart if isinstance(entry, ZooEntry) else entry
     table = [row for row in CHECKS if expected is not None or row[1] != "value_tol"]
-    simons = expected is not None and expected.simons_tol is not None
+    simons = expected is not None
     spts = sample_points(chart, 20, seed=grid.seed + 7)
     extra = np.concatenate([spts, sample_points(chart, 1, seed=grid.seed + 101)]) if simons else spts
     # One sweep of the grid, with the curvature samples and then the Simons
@@ -322,15 +322,17 @@ def verify_chart(
     for u, cell in _sweep(chart, grid, extra):
         pd = point_data(chart, u)
         sp = pd.spectrum
-        parts.append((sp.scalar, sp.lambdas, sp.normB2, sp.pinch, pd.frame.vol, gauss_rank(sp),
+        parts.append((sp.lambdas, sp.normB2, sp.pinch, pd.frame.vol, gauss_rank(sp),
                       *(residual(pd, expected) for _, _, residual in table)))
-    scalar, *columns = _concat(parts)
-    size = len(scalar) - len(extra)
+    columns = _concat(parts)
+    size = len(columns[0]) - len(extra)
     lambdas, normB2, pinch, sqrtdetg, ranks, *residuals = (column[:size] for column in columns)
     # the curvature samples go to the oracle with the last box's jets and its
-    # factor of their metric
+    # factor of their metric, and their Gauss target n(n-1) - |B|^2 comes from
+    # the same rows of its spectrum
     s = slice(len(pd.jac) - len(extra), len(pd.jac) - len(extra) + len(spts))
     r_intrinsic = scalar_curvature_intrinsic(chart, spts, jets=(pd.jac[s], pd.hess[s], pd.frame.a[s]))
+    r_gauss = chart.dim * (chart.dim - 1.0) - pd.spectrum.normB2[s]
 
     checks: list[CheckResult] = []
 
@@ -346,7 +348,7 @@ def verify_chart(
         # the Simons point is the last row of the last box
         add("simons", simons_residual(pd.sigma[-1]), expected.simons_tol, hard=expected.simons_hard)
 
-    add("scalar_curvature", np.max(np.abs(r_intrinsic - scalar[size:size + len(spts)])), tolerances.geometry)
+    add("scalar_curvature", np.max(np.abs(r_intrinsic - r_gauss)), tolerances.geometry)
 
     integrals = {}
     if chart.closed:
@@ -390,7 +392,7 @@ def chart_volume(chart: ImmersionChart, grid: GridSpec = GridSpec()) -> float:
     vols = []
     for u, cell in _sweep(chart, grid):
         pts, _, jac, _ = evaluate_points(chart, u)
-        vols.append(induced_metric(pts, jac)[1])
+        vols.append(metric_factor(pts, jac)[3])
     return float(np.sum(np.concatenate(vols) * cell))
 
 

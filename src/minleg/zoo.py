@@ -51,7 +51,7 @@ class ZooEntry:
     value_tol: float
     provenance: dict
     notes: str
-    simons_tol: float | None = 1e-10
+    simons_tol: float = 1e-10
     simons_hard: bool = True
     lambdas: tuple = field(init=False)
     normB2: float = field(init=False)
@@ -256,11 +256,6 @@ def flat_torus(n: int = 2) -> ZooEntry:
     )
 
 
-def flat_legendrian_torus() -> ZooEntry:
-    """The n = 2 flat torus."""
-    return flat_torus(2)
-
-
 # ---- registry ---------------------------------------------------------------
 
 
@@ -301,5 +296,5 @@ def default_entries() -> list[ZooEntry]:
         calabi_torus(3),
         calabi_torus(4),
         equivariant_sphere3(),
-        flat_legendrian_torus(),
+        flat_torus(),
     ]

@@ -26,7 +26,7 @@ from minleg.zoo import (
     calabi_torus,
     default_entries,
     equivariant_sphere3,
-    flat_legendrian_torus,
+    flat_torus,
     geodesic_sphere,
 )
 
@@ -65,7 +65,7 @@ def test_criterion_02_equivariant_values():
 
 
 def test_criterion_03_flat_torus():
-    entry = flat_legendrian_torus()
+    entry = flat_torus()
     worst_b = 0.0
     for u in sample_points(entry.chart, 50, seed=303):
         worst_b = max(worst_b, abs(point_data(entry.chart, u).spectrum.normB2 - 2.0))

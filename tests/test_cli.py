@@ -305,7 +305,7 @@ def test_numerical_failure_exit(monkeypatch, capsys, exc, driver, argv):
     monkeypatch.setattr(cli, driver, fail)
     code = main(argv)
     captured = capsys.readouterr()
-    assert code == cli.NUMERICAL_FAILURE == 3
+    assert code == NumericalFailure.exit_code == 3
     assert captured.out == ""
     assert captured.err == f"error: numerical failure: {exc}\n"
 

@@ -160,7 +160,7 @@ def test_verify_report_deterministic():
 
 
 def test_verify_bare_chart():
-    report = verify_chart(zoo.flat_legendrian_torus().chart, GridSpec(points_per_dim=8))
+    report = verify_chart(zoo.flat_torus().chart, GridSpec(points_per_dim=8))
     names = [c.name for c in report.checks]
     assert report.passed
     assert names == ["legendrian", "minimality", "sigma_symmetry", "psd", "gauss_rank",
@@ -232,7 +232,7 @@ def test_integral_p1_sphere_zero():
 
 def test_integral_p1_flat_examples():
     # pinch equals n + 1 pointwise, so the integrand vanishes identically
-    assert abs(integral_p1(zoo.flat_legendrian_torus().chart)) <= 1e-12
+    assert abs(integral_p1(zoo.flat_torus().chart)) <= 1e-12
     assert abs(integral_p1(zoo.calabi_torus(3).chart, GridSpec(points_per_dim=8))) <= 1e-10
 
 
@@ -255,7 +255,7 @@ def test_integral_p1_equivariant(monkeypatch):
 
 def test_chart_volume(monkeypatch):
     monkeypatch.setattr(verify, "GRID_CAP", 40_000)
-    ft = zoo.flat_legendrian_torus().chart
+    ft = zoo.flat_torus().chart
     exact = 4.0 * math.pi ** 2 / math.sqrt(3.0)
     assert abs(chart_volume(ft) - exact) <= 1e-12 * exact
     sph = zoo.geodesic_sphere(3).chart
@@ -287,7 +287,7 @@ def test_pinching_scan_quantities():
 
 
 def test_scan_csv_format():
-    scan = pinching_scan(zoo.flat_legendrian_torus().chart,
+    scan = pinching_scan(zoo.flat_torus().chart,
                          GridSpec(points_per_dim=4), quantity="normB2")
     text = scan_to_csv(scan)
     lines = text.splitlines()
@@ -373,9 +373,7 @@ def test_verify_evaluates_each_point_once(monkeypatch):
     spec = GridSpec(points_per_dim=4)
     for entry in zoo.default_entries():
         chart, n = entry.chart, entry.chart.dim
-        extra = [sample_points(chart, 20, seed=7)]
-        if entry.simons_tol is not None:
-            extra.append(sample_points(chart, 1, seed=101))
+        extra = [sample_points(chart, 20, seed=7), sample_points(chart, 1, seed=101)]
         pts, _ = grid_points(chart, spec)
         rows = np.concatenate([pts, *extra])
         for floor, entries in (default, (1, 13 * (2 * n + 2) * n * n)):
@@ -482,6 +480,22 @@ def test_drivers_share_one_sweep(monkeypatch):
                 scan = pinching_scan(chart, spec, quantity=quantity)
                 assert report.spectra[f"{quantity}_min"].hex() == scan.vmin.hex(), (entry.name, quantity)
                 assert report.spectra[f"{quantity}_max"].hex() == scan.vmax.hex(), (entry.name, quantity)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_scalar_curvature_residual_is_the_gauss_gap(seed):
+    # verify's scalar_curvature residual is the largest gap between the oracle
+    # and the Gauss target n(n-1) - |B|^2 at its 20 curvature samples, to the
+    # bit, as stand-alone calls on those samples give it
+    cases = [(entry, 4) for entry in zoo.default_entries()] + [(zoo.calabi_torus(8), 3)]
+    for entry, grid in cases:
+        chart, n = entry.chart, entry.chart.dim
+        report = verify_chart(entry, GridSpec(points_per_dim=grid, seed=seed))
+        (check,) = [c for c in report.checks if c.name == "scalar_curvature"]
+        spts = sample_points(chart, 20, seed=seed + 7)
+        gauss = n * (n - 1) - point_data(chart, spts).spectrum.normB2
+        gap = float(np.max(np.abs(scalar_curvature_intrinsic(chart, spts) - gauss)))
+        assert check.max_residual.hex() == gap.hex(), entry.name
 
 
 def test_integral_and_scan_skip_residuals(monkeypatch):
