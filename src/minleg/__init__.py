@@ -1,5 +1,6 @@
 """minleg: numerical verification for minimal Legendrian submanifolds of spheres."""
 
+import json as _json
 import random as _random
 
 __version__ = "0.1.0"
@@ -15,7 +16,8 @@ class MinlegError(Exception):
 
 class NumericalFailure(MinlegError, RuntimeError):
     """No trustworthy number: a degenerate chart point, a fundamental matrix that
-    is not PSD, Jacobi sweeps that do not converge, or a NaN bound for output."""
+    is not finite or not PSD, Jacobi sweeps that do not converge, or a NaN
+    bound for output."""
 
     exit_code = 3
     prefix = "numerical failure: "
@@ -27,6 +29,16 @@ def seeded_random(*key: int) -> _random.Random:
     random.Random hashes with SHA-512.  minleg draws only through random(),
     whose stream Python keeps the same across versions for a given seed."""
     return _random.Random(",".join(map(str, key)))
+
+
+def json_text(doc) -> str:
+    """The text of every JSON document minleg writes: doc indented by 2, then
+    a newline.  Floats are written as their repr, the shortest text that
+    reads back as the same double; a NaN or an infinity is a NumericalFailure."""
+    try:
+        return _json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalFailure("reports must not contain NaN or infinity") from exc
 
 
 from .geometry import (

@@ -29,11 +29,10 @@ from __future__ import annotations
 import argparse
 import ctypes
 import functools
-import json
 import os
 import sys
 
-from . import MinlegError, __version__
+from . import MinlegError, __version__, json_text
 from .lu_inequality import (canonical_extremal, extremal_search, family_to_text, load_family,
                             lu_bound, lu_check)
 from .verify import (GRID_CAP, GridSpec, Tolerances, _fmt_float, integral_p1, pinching_scan,
@@ -136,7 +135,7 @@ def _lu_report_doc(fam, report) -> str:
         "rounding_bound": float(report.rounding_bound),
         "is_equality": report.is_equality,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json_text(doc)
 
 
 def _cmd_lu_check(args) -> int:
@@ -168,7 +167,7 @@ def _cmd_lu_search(args) -> int:
         "exits": stats.exits,
         "gradient_steps": stats.steps,
     }
-    _write_report_and_family(json.dumps(doc, indent=2) + "\n", fam, args.out)
+    _write_report_and_family(json_text(doc), fam, args.out)
     return 0
 
 

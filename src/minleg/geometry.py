@@ -332,7 +332,11 @@ class Spectrum:
 
 def spectrum_of(s: np.ndarray) -> Spectrum:
     """Spectrum of a fundamental matrix or a stack of them, from a values-only
-    Jacobi solve: nothing downstream reads the eigenvectors."""
+    Jacobi solve: nothing downstream reads the eigenvectors.  A non-finite
+    entry, from a chart whose jets hold a NaN or an infinity, is a
+    NumericalFailure."""
+    if not np.all(np.isfinite(s)):
+        raise NumericalFailure("fundamental matrix has a non-finite entry")
     values = sym_eigen(s, vectors=False).values
     if values.shape[-1] < 2:
         raise ValueError("spectrum needs n >= 2 (lambda_2 is used)")

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import MinlegError, NumericalFailure, seeded_random
+from . import MinlegError, NumericalFailure, json_text, seeded_random
 from .symmat import symmetrize
 
 log = logging.getLogger(__name__)
@@ -554,9 +554,10 @@ def extremal_search(
 
 
 def family_to_text(fam: MatrixFamily) -> str:
-    """JSON document {n, mats} with row-major matrices; every number round-trips exactly."""
+    """JSON document {n, mats} with row-major matrices, written by json_text:
+    every number is its repr and reads back as the same double."""
     doc = {"n": fam.n, "mats": [a.ravel().tolist() for a in fam.mats]}
-    return json.dumps(doc, indent=2) + "\n"
+    return json_text(doc)
 
 
 def _json_int(text: str) -> int | float:

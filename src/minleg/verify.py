@@ -3,8 +3,9 @@
 verify_chart sweeps a chart on a midpoint grid, runs the checks that the
 table "Report checks" of the README lists in report order (the pointwise
 ones are the rows of CHECKS), and emits a deterministic report: fixed key
-order, floats at 17 significant digits, and a wall-time field that can be
-omitted so reports compare byte-for-byte.
+order, each float as its repr (the shortest text that reads back as the
+same double), and a wall-time field that can be omitted so reports compare
+byte-for-byte.
 
 integral_p1 evaluates the integral obstruction
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import NumericalFailure, __version__, seeded_random
+from . import NumericalFailure, __version__, json_text, seeded_random
 from .geometry import (
     ImmersionChart,
     evaluate_points,
@@ -112,9 +113,11 @@ class GridSpec:
         return tuple(counts)
 
     def echo(self, dim: int) -> dict:
+        """The grid as the report states it, in Python ints (a numpy integer
+        seed or count included), which json_text writes."""
         return {
-            "points_per_dim": list(self.resolve(dim)),
-            "seed": self.seed,
+            "points_per_dim": [int(c) for c in self.resolve(dim)],
+            "seed": int(self.seed),
             "cap": GRID_CAP,
         }
 
@@ -260,40 +263,15 @@ class VerificationReport:
         }
         if include_timing and self.wall_time is not None:
             doc["wall_time"] = self.wall_time
-        return _render(doc) + "\n"
+        return json_text(doc)
 
 
 def _fmt_float(x: float) -> str:
-    """x at 17 significant digits; a NaN or an infinity is a NumericalFailure."""
+    """repr(x), the shortest text that reads back as x; a NaN or an infinity
+    is a NumericalFailure."""
     if not math.isfinite(x):
         raise NumericalFailure("reports must not contain NaN or infinity")
-    return f"{x:.17g}"
-
-
-def _render(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}"{k}": {_render(v, indent + 1)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{_render(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if obj is None:
-        return "null"
-    raise TypeError(f"cannot render {type(obj)!r}")
+    return repr(x)
 
 
 def verify_chart(
@@ -337,8 +315,8 @@ def verify_chart(
     checks: list[CheckResult] = []
 
     def add(name, residual, tolerance, hard=True):
-        residual = float(residual)
-        checks.append(CheckResult(name, residual, float(tolerance), residual <= tolerance, hard))
+        residual, tolerance = float(residual), float(tolerance)
+        checks.append(CheckResult(name, residual, tolerance, residual <= tolerance, hard))
 
     for (name, tol, _), column in zip(table, residuals):
         add(name, max(0.0, column.max()), getattr(expected if tol == "value_tol" else tolerances, tol))
@@ -433,15 +411,16 @@ def pinching_scan(chart: ImmersionChart, grid: GridSpec = GridSpec(),
 
 
 def scan_to_csv(scan: ScanResult) -> str:
-    """One row per point: its coordinates and the value, each at 17
-    significant digits.  Every distinct number of a column (by bits: -0.0 is
-    not 0.0) is formatted once: a grid repeats each node along its axis, and a
-    scan's values repeat wherever the quantity is constant up to rounding."""
+    """One row per point: its coordinates and the value, each as its repr,
+    the shortest text that reads back as the same double.  Every distinct
+    number of a column (by bits: -0.0 is not 0.0) is formatted once: a grid
+    repeats each node along its axis, and a scan's values repeat wherever the
+    quantity is constant up to rounding."""
     dim = scan.points.shape[1]
     header = ",".join([f"u{i + 1}" for i in range(dim)] + ["value"])
     columns = []
     for column in np.vstack((np.asarray(scan.points, dtype=float).T, np.asarray(scan.values, dtype=float))):
         bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-        text = np.array([f"{x:.17g}" for x in bits.view(float).tolist()], dtype=object)
+        text = np.array([repr(x) for x in bits.view(float).tolist()], dtype=object)
         columns.append(text[inverse].tolist())
     return "\n".join([header] + [",".join(r) for r in zip(*columns)]) + "\n"

@@ -2,11 +2,11 @@
 
 Each ZooEntry stores one exact value, the spectrum of the fundamental matrix
 as rationals, and derives from it the |B|^2, the pinching quantity
-|B|^2 + lambda_2, the Gauss-map rank and the scalar curvature that the checks
-compare against.  A provenance label per value says where it comes from:
-"literature" for numbers stated in the published literature, "construction"
-for numbers forced by the construction itself, "numeric" for values found by
-an independent numerical oracle.
+|B|^2 + lambda_2 and the Gauss-map rank that the checks compare against.
+A provenance label per value says where it comes from: "literature" for
+numbers stated in the published literature, "construction" for numbers
+forced by the construction itself, "numeric" for values found by an
+independent numerical oracle.
 
 * geodesic sphere: the totally geodesic S^n of real points, sigma == 0.
 * Calabi product over a minimal Legendrian psi: M^(n-1) -> S^(2n-1): a
@@ -42,8 +42,8 @@ class ZooEntry:
     matrix, constant over the chart, as exact rationals in descending order.
     The values the checks compare against are derived from it when the entry
     is built and rounded to floats once: `lambdas` (the spectrum), `normB2`
-    (its sum, |B|^2), `pinch` (|B|^2 + lambda_2), `gauss_rank` (the count of
-    nonzero lambdas) and `scalar` (n(n-1) - |B|^2, by Gauss's equation).
+    (its sum, |B|^2), `pinch` (|B|^2 + lambda_2) and `gauss_rank` (the count
+    of nonzero lambdas).
     """
 
     chart: ImmersionChart
@@ -57,17 +57,15 @@ class ZooEntry:
     normB2: float = field(init=False)
     pinch: float = field(init=False)
     gauss_rank: int = field(init=False)
-    scalar: float = field(init=False)
 
     def __post_init__(self):
-        n, spec = self.chart.dim, self.spectrum
+        spec = self.spectrum
         norm_b2 = sum(spec)
         derived = {
             "lambdas": tuple(map(float, spec)),
             "normB2": float(norm_b2),
             "pinch": float(norm_b2 + sum(spec[1:2])),  # a curve has no lambda_2
             "gauss_rank": sum(1 for lam in spec if lam),
-            "scalar": float(n * (n - 1) - norm_b2),
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -96,7 +94,7 @@ def _round_sphere(k: int) -> ZooEntry:
         spectrum=(Fraction(0),) * k,
         value_tol=1e-10,
         provenance={"normB2": "construction", "lambdas": "construction", "pinch": "literature",
-                    "gauss_rank": "literature", "scalar": "construction"},
+                    "gauss_rank": "literature"},
         notes="sigma vanishes identically: second derivatives stay in the real "
               "subspace, which J maps into its orthogonal complement",
     )
@@ -151,7 +149,7 @@ def calabi_torus(n: int = 3) -> ZooEntry:
         _round_sphere(n - 1),
         name=f"calabi-n{n}",
         provenance={"normB2": "literature", "lambdas": "literature", "pinch": "literature",
-                    "gauss_rank": "numeric", "scalar": "literature"},
+                    "gauss_rank": "numeric"},
         notes="parallel cubic form; the equality case of the pinching bound "
               "|B|^2 + lambda_2 <= n + 1",
     )
@@ -224,7 +222,7 @@ def equivariant_sphere3() -> ZooEntry:
         spectrum=(Fraction(8, 3), Fraction(8, 3), Fraction(0)),
         value_tol=1e-8,
         provenance={"normB2": "literature", "lambdas": "literature", "pinch": "literature",
-                    "gauss_rank": "literature", "scalar": "literature"},
+                    "gauss_rank": "literature"},
         notes="borderline case |B|^2 + lambda_2 = 8 = 2(n + 1); the cubic form "
               "is not parallel (identity residual near 6), so the residual is "
               "reported for inspection rather than asserted",
@@ -250,7 +248,7 @@ def flat_torus(n: int = 2) -> ZooEntry:
         spectrum=(Fraction(n - 1),) * n,
         value_tol=1e-9,
         provenance={"normB2": "literature", "lambdas": "numeric", "pinch": "numeric",
-                    "gauss_rank": "numeric", "scalar": "literature"},
+                    "gauss_rank": "numeric"},
         notes="flat, every lambda_i = n - 1; at n = 2 the unique flat surface "
               "case, congruent to the n = 2 Calabi torus",
     )

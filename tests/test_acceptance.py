@@ -20,14 +20,13 @@ from minleg.geometry import (
 )
 from minleg.lu_inequality import MatrixFamily, canonical_extremal, extremal_search, lu_check
 from minleg.symmat import symmetrize
-from minleg.verify import GridSpec, integral_p1, sample_points
+from minleg.verify import integral_p1, sample_points
 from minleg.zoo import (
     calabi_sigma_closed_form,
     calabi_torus,
     default_entries,
     equivariant_sphere3,
     flat_torus,
-    geodesic_sphere,
 )
 
 

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import time
@@ -6,13 +7,14 @@ import time
 import numpy as np
 import pytest
 
-from minleg import MinlegError, NumericalFailure, cli, lu_inequality
+from minleg import MinlegError, NumericalFailure, cli, lu_inequality, zoo
 from minleg.cli import main
-from minleg.geometry import DegeneratePointError, NonPSDError
+from minleg.geometry import DegeneratePointError, ImmersionChart, NonPSDError
+from minleg.jets import Jet
 from minleg.lu_inequality import (MAX_DIM, FamilyValidationError, MatrixFamily, canonical_extremal,
                                   load_family, lu_check)
 from minleg.symmat import JacobiConvergenceError
-from minleg.verify import ScanResult
+from minleg.verify import GridSpec, ScanResult, integral_p1, pinching_scan
 from minleg.zoo import UnknownExampleError
 
 
@@ -155,6 +157,53 @@ def test_nonfinite_output_is_numerical_failure(monkeypatch, capsys, tmp_path, ar
     assert captured.err.endswith("error: numerical failure: reports must not contain NaN or infinity\n")
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def _nan_hessian_entry():
+    """The flat torus with d2F[0, 0] of component 0 set to NaN by assignment,
+    so that no arithmetic makes the NaN; dF stays finite."""
+    entry = zoo.flat_torus()
+
+    def fn(coords):
+        first, *rest = entry.chart.components(coords)
+        hess = np.array(first.hess, dtype=complex)
+        hess[0, 0] = np.nan
+        return [Jet(first.val, first.grad, hess), *rest]
+
+    return dataclasses.replace(entry, chart=ImmersionChart("nan-hessian", 2, entry.chart.domain, fn))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--example", "flat-torus", "--grid", "4", "--no-timing"],
+    ["integral", "--example", "flat-torus", "--grid", "4"],
+    ["scan", "--example", "flat-torus", "--grid", "4"],
+])
+def test_nan_second_derivative_is_numerical_failure(monkeypatch, capsys, argv):
+    # a NaN in d2F makes a NaN fundamental matrix, which verify, integral and scan report
+    # as a numerical failure (exit 3), never as a usage error
+    monkeypatch.setattr(cli, "get_entry", lambda name, n=None: _nan_hessian_entry())
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: numerical failure: fundamental matrix has a non-finite entry\n"
+
+
+@pytest.mark.parametrize("example, entry", [
+    (["--example", "geodesic-sphere", "--n", "3"], zoo.geodesic_sphere(3)),
+    (["--example", "calabi", "--n", "4"], zoo.calabi_torus(4)),
+    (["--example", "flat-torus"], zoo.flat_torus()),
+])
+def test_integral_prints_the_repr(capsys, example, entry):
+    assert main(["integral", *example, "--grid", "6"]) == 0
+    value = integral_p1(entry.chart, GridSpec(points_per_dim=6))
+    assert capsys.readouterr().out == repr(value) + "\n"
+
+
+def test_scan_summary_prints_reprs(capsys):
+    # the CSV cells are reprs too (tests/test_verify.py's reference formatter)
+    assert main(["scan", "--example", "geodesic-sphere", "--n", "3", "--grid", "6"]) == 0
+    scan = pinching_scan(zoo.geodesic_sphere(3).chart, GridSpec(points_per_dim=6))
+    assert capsys.readouterr().err == f"pinch: min={scan.vmin!r} max={scan.vmax!r}\n"
 
 
 def test_unknown_example(capsys):

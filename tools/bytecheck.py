@@ -50,7 +50,8 @@ The roster:
   grid 4, a generated entry outside the default roster;
 - ``verify --no-timing`` on equivariant-s3 at the default grid, 16^3 points
   in boxes of 1280, 1280 and 1536, so that its curvature samples ride with
-  a last box larger than the others.
+  a last box larger than the others;
+- ``zoo list``.
 
     python3 tools/bytecheck.py --kernels
 
@@ -135,6 +136,7 @@ ROSTER = (
        ["verify", "--example", "equivariant-s3", "--grid", "4", "--tol-alg", "0", "--no-timing"]]
     + [["verify", "--no-timing", "--example", "flat-torus", "--n", "3", "--grid", "4", "--seed", "0"]]
     + [["verify", "--no-timing", "--example", "equivariant-s3", "--seed", "0"]]
+    + [["zoo", "list"]]
 )
 
 
