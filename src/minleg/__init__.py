@@ -15,9 +15,9 @@ class MinlegError(Exception):
 
 
 class NumericalFailure(MinlegError, RuntimeError):
-    """No trustworthy number: a degenerate chart point, a fundamental matrix that
-    is not finite or not PSD, Jacobi sweeps that do not converge, or a NaN
-    bound for output."""
+    """No trustworthy number: a degenerate chart point, a fundamental matrix with
+    a non-finite entry, Jacobi sweeps that do not converge, or a NaN bound for
+    output."""
 
     exit_code = 3
     prefix = "numerical failure: "
@@ -45,7 +45,6 @@ from .geometry import (
     DegeneratePointError,
     ImmersionChart,
     Interval,
-    NonPSDError,
     PointData,
     PointFrame,
     Spectrum,
@@ -60,6 +59,7 @@ from .geometry import (
     sigma_symmetry_defect,
     simons_residual,
     spectrum_of,
+    sphere_residual,
 )
 from .lu_inequality import (
     FamilyValidationError,

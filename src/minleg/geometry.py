@@ -38,7 +38,6 @@ from . import NumericalFailure
 from .jets import Jet
 from .symmat import sym_eigen
 
-PSD_TOL = 1e-10
 DEGENERACY_TOL = 1e-8
 CROSS_CHECK_STEP = 1e-3
 GAUSS_RANK_TOL = 1e-8
@@ -46,10 +45,6 @@ GAUSS_RANK_TOL = 1e-8
 
 class DegeneratePointError(NumericalFailure):
     """Coordinate tangents fail to span an n-plane at the given point."""
-
-
-class NonPSDError(NumericalFailure):
-    """A fundamental matrix came out with an eigenvalue below -1e-10."""
 
 
 @dataclass(frozen=True)
@@ -153,13 +148,12 @@ class PointFrame:
     """Orthonormal tangent data at a chart point (or a stack of points).
 
     e holds the frame vectors as rows; a is the change of basis with
-    e_i = sum_s a_is dF/du_s; metric is G_st = <dF_s, dF_t>; vol = sqrt(det G).
+    e_i = sum_s a_is dF/du_s; vol = sqrt(det G) of the metric G_st = <dF_s, dF_t>.
     """
 
     F: np.ndarray
     e: np.ndarray
     a: np.ndarray
-    metric: np.ndarray
     vol: float | np.ndarray
 
 
@@ -253,8 +247,8 @@ def _frame_from(u, f, jac) -> PointFrame:
     the unit roundoff times cond(D^-1 G D^-1), D = diag(G)^1/2; over the zoo's sample
     and grid points it stays at 1e-15 or less.
     """
-    tangents, metric, a, vol = metric_factor(u, jac)
-    return PointFrame(F=f, e=a @ tangents, a=a, metric=metric, vol=vol)
+    tangents, _, a, vol = metric_factor(u, jac)
+    return PointFrame(F=f, e=a @ tangents, a=a, vol=vol)
 
 
 def _sigma_from(frame: PointFrame, hess: np.ndarray) -> np.ndarray:
@@ -303,6 +297,14 @@ def minimality_residual(sigma: np.ndarray) -> float | np.ndarray:
     return np.max(np.abs(np.einsum("...iik->...k", sigma)), axis=-1)
 
 
+def sphere_residual(f: np.ndarray, jac: np.ndarray) -> float | np.ndarray:
+    """Max of | |F|^2 - 1 | and |<F, dF/du_s>| over s: how far the chart leaves
+    the unit sphere, at the point and to first order.  Every other check takes
+    |F| = 1 for granted."""
+    radial = np.abs(np.einsum("...i,...i->...", f, f) - 1.0)
+    return np.maximum(radial, np.max(np.abs(np.einsum("...i,...is->...s", f, jac)), axis=-1))
+
+
 def legendrian_residual(frame: PointFrame) -> float | np.ndarray:
     """Max of |<J e_i, e_j>| and |<J F, e_j>| over the frame."""
     je = apply_J(frame.e)
@@ -334,15 +336,13 @@ def spectrum_of(s: np.ndarray) -> Spectrum:
     """Spectrum of a fundamental matrix or a stack of them, from a values-only
     Jacobi solve: nothing downstream reads the eigenvectors.  A non-finite
     entry, from a chart whose jets hold a NaN or an infinity, is a
-    NumericalFailure."""
+    NumericalFailure.  A negative lambda_n is returned as it is: verify's psd
+    check judges it."""
     if not np.all(np.isfinite(s)):
         raise NumericalFailure("fundamental matrix has a non-finite entry")
     values = sym_eigen(s, vectors=False).values
     if values.shape[-1] < 2:
         raise ValueError("spectrum needs n >= 2 (lambda_2 is used)")
-    lowest = np.min(values[..., -1])
-    if lowest < -PSD_TOL:
-        raise NonPSDError(f"fundamental matrix has eigenvalue {lowest:.3e} < -{PSD_TOL}")
     norm_b2 = values.sum(axis=-1)
     return Spectrum(lambdas=values, normB2=norm_b2, pinch=norm_b2 + values[..., 1])
 

@@ -79,8 +79,9 @@ def sym_eigen(a, vectors: bool = True) -> EigenResult:
     entry rotate, so each matrix sees the rotation sequence of its own solve.
     The stack is held batch-last, so each rotation step is one contiguous
     operation over the matrices that rotate, in place when all of them do.
-    The norms that decide convergence are summed as on a batch-major stack:
-    the same expressions on arrays of the same layout, so the same order.
+    The off-diagonal norms that decide convergence sum their squares left to
+    right, whatever the stack's size, so one matrix alone stops where it does
+    in a stack.
 
     vectors=False solves for the values alone and returns vectors=None: the
     loop holds A without the eigenvector matrix Q, so it skips Q's share of
@@ -101,11 +102,13 @@ def sym_eigen(a, vectors: bool = True) -> EigenResult:
     a, q = aq[:n], aq[n:]
     offdiag = ~np.eye(n, dtype=bool)
     for _ in range(MAX_SWEEPS + 1):
-        # The gather a[:, offdiag] of a batch-major stack, into the same layout,
-        # (N, n(n-1)) with the batch axis innermost: each row of squares then
-        # sums in the same order (left to right, or pairwise when N = 1).
-        off = a.transpose(2, 0, 1)[:, offdiag]
-        active = np.sqrt((off * off).sum(axis=1)) >= stop
+        # Each matrix's off-diagonal squares, (n(n-1), N), summed left to right
+        # by a running sum, for one matrix as for a stack.  With n = 1 or an
+        # empty stack there is nothing to rotate.
+        off = a[offdiag]
+        if not off.size:
+            break
+        active = np.sqrt(np.cumsum(off * off, axis=0)[-1]) >= stop
         if not active.any():
             break
         for p in range(n - 1):

@@ -40,6 +40,7 @@ from .geometry import (
     scalar_curvature_intrinsic,
     sigma_symmetry_defect,
     simons_residual,
+    sphere_residual,
 )
 from .zoo import ZooEntry
 
@@ -212,6 +213,7 @@ def _p1_and_volume(lambdas: np.ndarray, normB2: np.ndarray, sqrtdetg: np.ndarray
 # grid, clipped below at 0, is the check's residual.  Each row looks its
 # functions up when it runs, so the tracer of bench/spans.py sees their calls.
 CHECKS = (
+    ("sphere", "geometry", lambda pd, e: sphere_residual(pd.frame.F, pd.jac)),
     ("legendrian", "geometry", lambda pd, e: legendrian_residual(pd.frame)),
     ("minimality", "geometry", lambda pd, e: minimality_residual(pd.sigma)),
     ("sigma_symmetry", "geometry", lambda pd, e: sigma_symmetry_defect(pd.sigma)),
@@ -282,9 +284,10 @@ def verify_chart(
     """Run the full pointwise and per-chart check battery.
 
     Accepts a ZooEntry (expected-value checks included) or a bare chart
-    (structural checks only).  The Legendrian gate is listed first: if it
-    fails, every sigma-derived number below it is untrusted and the report
-    fails as a whole.
+    (structural checks only).  The sphere check is listed first: a chart off
+    the unit sphere voids every check below it.  The Legendrian gate comes
+    next: if it fails, every sigma-derived number below it is untrusted and
+    the report fails as a whole.
     """
     t0 = time.perf_counter()
     expected = entry if isinstance(entry, ZooEntry) else None

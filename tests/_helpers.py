@@ -108,7 +108,10 @@ def reference_sym_eigen(a):
     offdiag = ~np.eye(n, dtype=bool)
     for _ in range(symmat.MAX_SWEEPS + 1):
         off = a[:, offdiag]
-        active = np.sqrt((off * off).sum(axis=1)) >= stop
+        norm2 = np.zeros(len(a))
+        for squares in (off * off).T:  # left to right, for one matrix as for a stack
+            norm2 += squares
+        active = np.sqrt(norm2) >= stop
         if not active.any():
             break
         for p in range(n - 1):

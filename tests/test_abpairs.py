@@ -109,3 +109,40 @@ def test_spread_wider_than_the_bound_is_unresolved():
     assert same.split()[-2:] == ["no", "unresolved"]
     _, clear = ab.report(metrics, {"parent": [run(p) for p in WIDE], "change": [run(p + 141.0) for p in WIDE]})
     assert clear.split()[-2:] == ["yes", "ok"]
+
+
+def test_pass_time_columns(tmp_path):
+    ab = _load_abpairs()
+    # ten passes 1.0 .. 1.9 s: the fastest is 1.0, the 10th percentile 1.09
+    walls = [1.0 + k / 10.0 for k in (3, 0, 9, 1, 8, 2, 7, 4, 6, 5)]
+    assert ab.pass_time(walls) == {"min_pass_s": 1.0, "p10_pass_s": pytest.approx(1.09)}
+    assert ab.pass_time([2.5, 3.5]) == {"min_pass_s": 2.5, "p10_pass_s": 2.6}
+
+    # a stand-in checkout whose bench/run.py writes a record of these walls
+    # and prints a result line, as the benchmark does
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import json, os, sys\n"
+        "args = dict(zip(sys.argv[1::2], sys.argv[2::2]))\n"
+        "out = os.path.join(os.path.dirname(os.path.abspath(__file__)), 'out')\n"
+        "os.makedirs(out, exist_ok=True)\n"
+        "name = f\"{args['--workload']}-seed{args['--seed']}-trace0.json\"\n"
+        f"record = {{'record': {{'pass_walls_s': {walls!r}}}}}\n"
+        "with open(os.path.join(out, name), 'w') as fh:\n"
+        "    json.dump(record, fh)\n"
+        "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0,\n"
+        "                  'metrics': {'items_per_s': {'value': 1.0, 'unit': '1/s'}}}))\n")
+    result = ab.run_bench(str(tmp_path), "sweep", 1.0, 5)
+    assert result["pass_time"] == ab.pass_time(walls)
+
+    def run(fastest):
+        return {"pass_time": {"min_pass_s": fastest, "p10_pass_s": fastest + 0.5}}
+
+    runs = {"parent": [run(p / 100.0) for p in PARENT], "change": [run(p / 100.0 - 0.1) for p in PARENT]}
+    q = ab.pass_time_quartiles(runs)
+    assert q["min_pass_s"]["parent"] == pytest.approx((0.9825, 1.0, 1.0175))
+    assert q["p10_pass_s"]["change"] == pytest.approx((1.3825, 1.4, 1.4175))
+    header, fastest, p10 = ab.pass_time_report(runs)
+    assert header.split()[:2] == ["pass", "time"]
+    assert fastest.split() == ["min_pass_s", "1", "[0.9825,", "1.0175]", "0.9", "[0.8825,", "0.9175]"]
+    assert p10.split()[0] == "p10_pass_s"

@@ -98,6 +98,9 @@ def test_eigen_diagonal_matrix_exact():
     assert np.array_equal(res.values, [7.0, 3.0, 0.0, -1.0])
     # eigenvectors are signed permutation columns
     assert np.allclose(np.abs(res.vectors), np.eye(4)[:, [2, 0, 3, 1]], atol=0.0)
+    # a 1 x 1 matrix has no off-diagonal entry to sum or rotate
+    res = sym_eigen([[3.0]])
+    assert np.array_equal(res.values, [3.0]) and np.array_equal(res.vectors, [[1.0]])
 
 
 def test_eigen_2x2_closed_form():
@@ -275,12 +278,23 @@ def _stack_on_the_stopping_rule(rng, n):
 
 def test_eigen_stopping_rule_sums_batch_major():
     # each convergence decision sums the off-diagonal squares in the order of
-    # the batch-major solve (left to right in a stack, as its boolean gather
-    # returns the squares strided); on a matrix where the other order decides
-    # the other way, a rotation (by 45 degrees, as the diagonal is constant)
-    # happens or not, so its bits tell the orders apart
+    # the batch-major solve, left to right; on a matrix where the pairwise
+    # order decides the other way, a rotation (by 45 degrees, as the diagonal
+    # is constant) happens or not, so its bits tell the orders apart
     rng = np.random.default_rng(11)
     for n in (4, 6):
         stack = _stack_on_the_stopping_rule(rng, n)
         values, vectors = reference_sym_eigen(stack)
         _assert_solves_match(stack, values, vectors, n)
+
+
+def test_eigen_lone_matrix_stops_as_in_a_stack():
+    # a matrix on the stopping rule, solved alone, rotates exactly when it
+    # does as one row of a stack: a lone matrix sums its squares left to
+    # right too, not in numpy's pairwise blocks
+    rng = np.random.default_rng(12)
+    for n in (4, 5, 8):
+        for _ in range(5):
+            stack = _stack_on_the_stopping_rule(rng, n)
+            res = sym_eigen(stack)
+            _assert_solves_match(stack[1], res.values[1], res.vectors[1], n)

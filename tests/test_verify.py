@@ -136,7 +136,7 @@ def test_verify_report_structure():
     report = verify_chart(entry, GridSpec(points_per_dim=5))
     names = [c.name for c in report.checks]
     assert names == [
-        "legendrian", "minimality", "sigma_symmetry", "psd",
+        "sphere", "legendrian", "minimality", "sigma_symmetry", "psd",
         "pinch_expected", "normB2_expected", "lambdas_expected", "gauss_rank",
         "simons", "scalar_curvature", "integral_p1_nonpositive",
     ]
@@ -164,18 +164,49 @@ def test_verify_bare_chart():
     report = verify_chart(zoo.flat_torus().chart, GridSpec(points_per_dim=8))
     names = [c.name for c in report.checks]
     assert report.passed
-    assert names == ["legendrian", "minimality", "sigma_symmetry", "psd", "gauss_rank",
+    assert names == ["sphere", "legendrian", "minimality", "sigma_symmetry", "psd", "gauss_rank",
                      "scalar_curvature", "integral_p1_nonpositive"]
+
+
+@pytest.mark.parametrize("entry, grid", [
+    (zoo.calabi_torus(8), 3),
+    (zoo.calabi_torus(13), 2),
+    (zoo.geodesic_sphere(13), 2),
+    (zoo.calabi_product(zoo.equivariant_sphere3()), 4),
+    (zoo.flat_torus(3), 4),
+], ids=lambda x: x.name if isinstance(x, zoo.ZooEntry) else str(x))
+def test_sphere_check_passes_the_roster(entry, grid):
+    # the default entries pass it in test_verify_chart_all_entries; these are
+    # the other charts of the byte roster, at rounding level too
+    report = verify_chart(entry, GridSpec(points_per_dim=grid))
+    sphere = report.checks[0]
+    assert sphere.name == "sphere" and sphere.hard
+    assert sphere.max_residual <= 2e-15 and report.passed
+
+
+def test_sphere_check_fails_a_scaled_chart():
+    # the flat torus scaled by 1 + 1e-6, as a bare chart: |F|^2 - 1 = 2e-6 fails
+    # the sphere check, and only the curvature oracle and the integral's sign
+    # fail with it, since no other check reads |F|
+    chart = zoo.flat_torus().chart
+    scaled = ImmersionChart("flat-torus-scaled", 2, chart.domain,
+                            lambda coords: [(1.0 + 1e-6) * c for c in chart.components(coords)])
+    report = verify_chart(scaled, GridSpec(points_per_dim=8))
+    sphere = report.checks[0]
+    assert sphere.name == "sphere" and sphere.hard and not report.passed
+    assert sphere.max_residual == pytest.approx(2e-6, rel=1e-5)
+    failing = [c.name for c in report.checks if not c.passed]
+    assert failing == ["sphere", "scalar_curvature", "integral_p1_nonpositive"]
 
 
 @pytest.mark.parametrize("value, passed", [(5e-7, True), (2e-6, False)])
 def test_check_table_row_adds_a_check(monkeypatch, value, passed):
     # one row of the table is one check: at its position, with its class's tolerance
     row = ("extra", "quadrature", lambda pd, e: np.full(pd.sigma.shape[0], value))
-    monkeypatch.setattr(verify, "CHECKS", verify.CHECKS[:4] + (row,) + verify.CHECKS[4:])
+    monkeypatch.setattr(verify, "CHECKS", verify.CHECKS[:5] + (row,) + verify.CHECKS[5:])
     report = verify_chart(zoo.calabi_torus(3), GridSpec(points_per_dim=4))
-    assert [c.name for c in report.checks][3:6] == ["psd", "extra", "pinch_expected"]
-    extra = report.checks[4]
+    assert [c.name for c in report.checks][4:7] == ["psd", "extra", "pinch_expected"]
+    extra = report.checks[5]
     assert (extra.max_residual, extra.tolerance) == (value, Tolerances().quadrature)
     assert extra.hard and extra.passed == passed and report.passed == passed
 
@@ -184,7 +215,7 @@ def test_check_rows_look_up_residuals_when_they_run(monkeypatch):
     # the benchmark's tracer replaces verify.legendrian_residual at run time
     monkeypatch.setattr(verify, "legendrian_residual", lambda frame: np.ones(frame.vol.shape))
     report = verify_chart(zoo.calabi_torus(2), GridSpec(points_per_dim=4))
-    legendrian = report.checks[0]
+    legendrian = report.checks[1]
     assert legendrian.name == "legendrian" and legendrian.max_residual == 1.0
     assert not legendrian.passed and not report.passed
 
@@ -537,8 +568,8 @@ def test_integral_and_scan_skip_residuals(monkeypatch):
     def refuse(*args):
         raise AssertionError("integral and scan must not compute residuals or ranks")
 
-    for name in ("legendrian_residual", "minimality_residual", "sigma_symmetry_defect",
-                 "gauss_rank"):
+    for name in ("sphere_residual", "legendrian_residual", "minimality_residual",
+                 "sigma_symmetry_defect", "gauss_rank"):
         monkeypatch.setattr(verify, name, refuse)
     chart = zoo.equivariant_sphere3().chart
     spec = GridSpec(points_per_dim=4)

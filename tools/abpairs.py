@@ -11,8 +11,12 @@ sides alike.  The end-to-end metrics, their direction and their bounds come
 from CHANGE's ``BENCHMARK.json``.
 
 For each metric it prints each side's median and quartiles, the pairs the
-change won (ties count for neither side), and two verdicts, then, as its
-last line, one JSON object with every run's metrics and each verdict:
+change won (ties count for neither side), and two verdicts.  Beside that
+table it prints the median and quartiles, per side, of two numbers of each
+run: its fastest pass and the 10th percentile of its pass times, read from
+the ``pass_walls_s`` of the run's ``bench/out/<workload>-seed<N>-trace0.json``
+record.  No verdict reads them.  Its last line is one JSON object with every
+run's metrics and pass times, each verdict and the pass-time quartiles:
 
 - gain: the change won at least nine tenths of the pairs, and its median is
   better than the parent's by more than the parent's interquartile range;
@@ -83,7 +87,35 @@ def run_bench(root: str, workload: str, seconds: float, seed: int) -> dict:
     result = json.loads(lines[-1])
     if not result["correct"] or result["failed"]:
         raise RuntimeError(f"{root}: {result['failed']} of {result['attempted']} operations failed")
+    with open(os.path.join(root, "bench", "out", f"{workload}-seed{seed}-trace0.json"),
+              encoding="ascii") as fh:
+        result["pass_time"] = pass_time(json.load(fh)["record"]["pass_walls_s"])
     return result
+
+
+def pass_time(walls) -> dict:
+    """The fastest pass and the 10th percentile of a run's pass times, in s
+    (bench/run.py times at least two passes)."""
+    return {"min_pass_s": min(walls),
+            "p10_pass_s": statistics.quantiles(walls, n=10, method="inclusive")[0]}
+
+
+def pass_time_quartiles(runs: dict) -> dict:
+    """{name: {side: quartiles}} of each pass-time number over each side's runs."""
+    return {name: {side: quartiles([r["pass_time"][name] for r in rs]) for side, rs in runs.items()}
+            for name in ("min_pass_s", "p10_pass_s")}
+
+
+def pass_time_report(runs: dict) -> list[str]:
+    """Printed lines of the pass-time quartiles, in the layout of report's."""
+    lines = [f"{'pass time':<14} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34}"]
+    for name, q in pass_time_quartiles(runs).items():
+        lines.append(f"{name:<14} {_side(q['parent']):>34} {_side(q['change']):>34}")
+    return lines
+
+
+def _side(q) -> str:
+    return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
 
 
 def end_to_end(root: str) -> list[dict]:
@@ -109,11 +141,7 @@ def report(metrics: list[dict], runs: dict) -> list[str]:
     lines = [f"{'metric':<14} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34}"
              f" {'won':>6} {'gap':>10} {'IQR':>10}  gain  bound"]
     for name, v in verdicts(metrics, runs).items():
-
-        def side(q):
-            return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
-
-        lines.append(f"{name:<14} {side(v['parent']):>34} {side(v['change']):>34}"
+        lines.append(f"{name:<14} {_side(v['parent']):>34} {_side(v['change']):>34}"
                      f" {v['won']:>3}/{v['pairs']:<2} {v['gap']:>10.4g} {v['parent_iqr']:>10.4g}"
                      f"  {'yes' if v['gain'] else 'no':<5} {_bound_column(v)}")
     return lines
@@ -140,18 +168,20 @@ def main(argv: list[str] | None = None) -> int:
             print(f"pair {i + 1}: " + ", ".join(
                 f"{side} items_per_s {runs[side][-1]['metrics']['items_per_s']['value']:.6g}"
                 for side in order), flush=True)
-    except (RuntimeError, subprocess.TimeoutExpired) as exc:
+    except (RuntimeError, OSError, subprocess.TimeoutExpired) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     metrics = end_to_end(roots["change"])
     print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs")
-    print("\n".join(report(metrics, runs)))
+    print("\n".join(report(metrics, runs) + pass_time_report(runs)))
     print(json.dumps({
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "parent_first": [i % 2 == 0 for i in range(args.pairs)],
         "runs": {side: [{k: v["value"] for k, v in r["metrics"].items()} for r in rs]
                  for side, rs in runs.items()},
+        "pass_times": {side: [r["pass_time"] for r in rs] for side, rs in runs.items()},
         "verdicts": verdicts(metrics, runs),
+        "pass_time_quartiles": pass_time_quartiles(runs),
     }))
     return 0
 

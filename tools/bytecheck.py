@@ -42,8 +42,8 @@ The roster:
   samples sit near the pole margin, where a differenced curvature oracle
   failed them;
 - ``verify --no-timing`` lines that exit 1: calabi n=4 at grid 4 with
-  ``--tol-geom 0 --tol-alg 0`` (legendrian, minimality, sigma_symmetry and
-  scalar_curvature fail), and equivariant-s3 at grid 4 with ``--tol-alg 0``
+  ``--tol-geom 0 --tol-alg 0`` (sphere, legendrian, minimality,
+  sigma_symmetry and scalar_curvature fail), and equivariant-s3 at grid 4 with ``--tol-alg 0``
   (the hard psd check and the soft simons check fail), so the pass and
   ``hard`` logic of failing reports is pinned too;
 - ``verify --no-timing`` on the flat torus T^3 (``flat-torus --n 3``) at
