@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                           formatter_class=fmt)
     example_flags(scan)
     scan.add_argument("--quantity", default="pinch",
-                      help="pinch, normB2, R_plus_mu2, or lambda_<k>")
+                      help="pinch, normB2, R_plus_mu2 (n^2 - 1 - pinch, by the Gauss equation), or lambda_<k>")
     scan.add_argument("--csv", default=None, help="write CSV here (default stdout)")
     scan.set_defaults(func=_cmd_scan)
 

@@ -380,14 +380,13 @@ def simons_residual(sigma: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class PointData:
-    """Frame, cubic form, fundamental matrix and spectrum at one chart point
-    (or a stack of points), with the jets dF (jac) and d2F (hess) they were
-    built from, so that the curvature oracle can read them instead of
-    evaluating the same points again."""
+    """Frame, cubic form and the spectrum of its fundamental matrix at one
+    chart point (or a stack of points), with the jets dF (jac) and d2F (hess)
+    they were built from, so that the curvature oracle can read them instead
+    of evaluating the same points again."""
 
     frame: PointFrame
     sigma: np.ndarray
-    smatrix: np.ndarray
     spectrum: Spectrum
     jac: np.ndarray
     hess: np.ndarray
@@ -399,8 +398,7 @@ def point_data(chart: ImmersionChart, u) -> PointData:
     u, f, jac, hess = evaluate_points(chart, u)
     frame = _frame_from(u, f, jac)
     sigma = _sigma_from(frame, hess)
-    smatrix = fundamental_matrix(sigma)
-    return PointData(frame=frame, sigma=sigma, smatrix=smatrix, spectrum=spectrum_of(smatrix),
+    return PointData(frame=frame, sigma=sigma, spectrum=spectrum_of(fundamental_matrix(sigma)),
                      jac=jac, hess=hess)
 
 

@@ -1,6 +1,6 @@
 """Grid verification, quadrature and scan drivers.
 
-verify_chart sweeps a chart on a midpoint grid, runs the checks that the
+verify_chart sweeps a chart on the grid of grid_axes, runs the checks that the
 table "Report checks" of the README lists in report order (the pointwise
 ones are the rows of CHECKS), and emits a deterministic report: fixed key
 order, each float as its repr (the shortest text that reads back as the
@@ -11,8 +11,8 @@ integral_p1 evaluates the integral obstruction
 
     int_M lambda_1 (n + 1 - |B|^2 - lambda_2) dM <= 0
 
-by product quadrature: the midpoint rule on every axis, which along the
-periodic directions is the equally-weighted (spectrally accurate) rule, with
+by the product of the axes' rules of grid_axes, the midpoint rule on every
+axis: spectrally accurate along periodic axes, O(h^2) along bounded ones, with
 the volume factor sqrt(det G) from the analytic metric.  The omitted
 gradient term of the full inequality is non-negative, so dropping it only
 strengthens the <= 0 assertion.
@@ -123,20 +123,20 @@ class GridSpec:
         }
 
 
-def grid_axes(chart: ImmersionChart, spec: GridSpec) -> tuple[list[np.ndarray], float]:
-    """(axes, cell): the midpoint nodes of each axis, and the cell volume."""
+def grid_axes(chart: ImmersionChart, spec: GridSpec) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(nodes, weights), one array of each per axis: the one quadrature rule of
+    the sweeps, the midpoint rule, with nodes lo + (i + 1/2) h and weights h."""
     counts = spec.resolve(chart.dim)
     steps = [iv.span / c for iv, c in zip(chart.domain, counts)]
-    axes = [iv.lo + (np.arange(c) + 0.5) * h for iv, c, h in zip(chart.domain, counts, steps)]
-    return axes, math.prod(steps)
+    nodes = [iv.lo + (np.arange(c) + 0.5) * h for iv, c, h in zip(chart.domain, counts, steps)]
+    return nodes, [np.full(c, h) for c, h in zip(counts, steps)]
 
 
 def grid_points(chart: ImmersionChart, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(points, weights): the product of the axes' midpoint rules, flattened
-    in C order.  Every point carries the cell volume as its weight."""
-    axes, cell = grid_axes(chart, spec)
-    pts = mesh_rows(np.ix_(*axes))
-    return pts, np.full(pts.shape[0], cell)
+    """(points, weights): the product of the axes' rules, flattened in C
+    order, each weight formed left to right over the axes."""
+    nodes, weights = grid_axes(chart, spec)
+    return mesh_rows(np.ix_(*nodes)), math.prod(np.ix_(*weights)).ravel()
 
 
 def sample_points(chart: ImmersionChart, count: int, seed: int) -> np.ndarray:
@@ -177,17 +177,17 @@ def _boxes(counts: tuple[int, ...], size: int) -> list[tuple[slice, ...]]:
 
 
 def _sweep(chart: ImmersionChart, spec: GridSpec, extra: np.ndarray | None = None):
-    """(u, weight) for each box of the grid in C order: u is the box as an
-    open mesh, weight the cell volume.  Extra rows ride with the last box,
-    which then comes as one point stack: its grid rows in C order, then the
-    extra rows."""
-    axes, cell = grid_axes(chart, spec)
-    meshes = [np.ix_(*(a[s] for a, s in zip(axes, box)))
-              for box in _boxes(tuple(len(a) for a in axes), _batch_size(chart.dim))]
+    """(u, w) for each box of the grid in C order: u is the box as an open
+    mesh, w the product weights of its points, flattened in C order.  Extra
+    rows ride with the last box, which then comes as one point stack: its grid
+    rows in C order, then the extra rows, which get no weight."""
+    nodes, weights = grid_axes(chart, spec)
+    boxes = _boxes(tuple(len(a) for a in nodes), _batch_size(chart.dim))
+    meshes = [np.ix_(*(a[s] for a, s in zip(nodes, box))) for box in boxes]
     if extra is not None:
         meshes[-1] = np.concatenate([mesh_rows(meshes[-1]), extra])
-    for u in meshes:
-        yield u, cell
+    for u, box in zip(meshes, boxes):
+        yield u, math.prod(np.ix_(*(w[s] for w, s in zip(weights, box)))).ravel()
 
 
 def _concat(parts) -> list[np.ndarray]:
@@ -196,7 +196,7 @@ def _concat(parts) -> list[np.ndarray]:
 
 
 def _p1_and_volume(lambdas: np.ndarray, normB2: np.ndarray, sqrtdetg: np.ndarray,
-                   wts: np.ndarray | float) -> tuple[float, float]:
+                   wts: np.ndarray) -> tuple[float, float]:
     """(p1, volume): quadratures of lambda_1 (n + 1 - |B|^2 - lambda_2) dM and of dM."""
     n = lambdas.shape[1]
     integrand = lambdas[:, 0] * (n + 1.0 - normB2 - lambdas[:, 1])
@@ -300,14 +300,13 @@ def verify_chart(
     # point riding as extra rows of the last box; every check of the table,
     # rank and spectrum reads the grid rows only.
     parts = []
-    for u, cell in _sweep(chart, grid, extra):
+    for u, w in _sweep(chart, grid, extra):
         pd = point_data(chart, u)
         sp = pd.spectrum
-        parts.append((sp.lambdas, sp.normB2, sp.pinch, pd.frame.vol, gauss_rank(sp),
+        parts.append((w, sp.lambdas, sp.normB2, sp.pinch, pd.frame.vol, gauss_rank(sp),
                       *(residual(pd, expected) for _, _, residual in table)))
-    columns = _concat(parts)
-    size = len(columns[0]) - len(extra)
-    lambdas, normB2, pinch, sqrtdetg, ranks, *residuals = (column[:size] for column in columns)
+    wts, *columns = _concat(parts)
+    lambdas, normB2, pinch, sqrtdetg, ranks, *residuals = (column[:len(wts)] for column in columns)
     # the curvature samples go to the oracle with the last box's jets and its
     # factor of their metric, and their Gauss target n(n-1) - |B|^2 comes from
     # the same rows of its spectrum
@@ -333,7 +332,7 @@ def verify_chart(
 
     integrals = {}
     if chart.closed:
-        integrals["p1"], integrals["volume"] = _p1_and_volume(lambdas, normB2, sqrtdetg, cell)
+        integrals["p1"], integrals["volume"] = _p1_and_volume(lambdas, normB2, sqrtdetg, wts)
         add("integral_p1_nonpositive", max(0.0, integrals["p1"]), tolerances.quadrature)
 
     spectra = {
@@ -358,23 +357,25 @@ def verify_chart(
 
 
 def integral_p1(chart: ImmersionChart, grid: GridSpec = GridSpec()) -> float:
-    """Quadrature of lambda_1 (n + 1 - |B|^2 - lambda_2) over the chart."""
+    """Quadrature of lambda_1 (n + 1 - |B|^2 - lambda_2) over the chart, with
+    the product weights of grid_axes' rules."""
     if not chart.closed:
         raise ValueError(f"chart {chart.name} does not cover a closed manifold")
     parts = []
-    for u, cell in _sweep(chart, grid):
+    for u, w in _sweep(chart, grid):
         pd = point_data(chart, u)
-        parts.append((pd.spectrum.lambdas, pd.spectrum.normB2, pd.frame.vol))
-    return _p1_and_volume(*_concat(parts), cell)[0]
+        parts.append((pd.spectrum.lambdas, pd.spectrum.normB2, pd.frame.vol, w))
+    return _p1_and_volume(*_concat(parts))[0]
 
 
 def chart_volume(chart: ImmersionChart, grid: GridSpec = GridSpec()) -> float:
     """Quadrature of sqrt(det G); doubling the grid should barely move it."""
-    vols = []
-    for u, cell in _sweep(chart, grid):
+    parts = []
+    for u, w in _sweep(chart, grid):
         pts, _, jac, _ = evaluate_points(chart, u)
-        vols.append(metric_factor(pts, jac)[3])
-    return float(np.sum(np.concatenate(vols) * cell))
+        parts.append((metric_factor(pts, jac)[3], w))
+    sqrtdetg, wts = _concat(parts)
+    return float(np.sum(sqrtdetg * wts))
 
 
 QUANTITIES = ("pinch", "normB2", "R_plus_mu2")
@@ -391,9 +392,10 @@ class ScanResult:
 
 def pinching_scan(chart: ImmersionChart, grid: GridSpec = GridSpec(),
                   quantity: str = "pinch") -> ScanResult:
-    """Tabulate a spectral quantity over the grid: pinch, normB2, R_plus_mu2,
-    or lambda_k for k in 1..n, written in ASCII digits with no sign or
-    leading zero.  Any other name is a ValueError, raised before the sweep."""
+    """Tabulate a spectral quantity over the grid: pinch, normB2, R_plus_mu2
+    (n^2 - 1 - pinch by the Gauss equation, not a Ricci curvature computed on
+    its own), or lambda_k for k in 1..n, written in ASCII digits with no sign
+    or leading zero.  Any other name is a ValueError, raised before the sweep."""
     n = chart.dim
     if quantity in ("pinch", "R_plus_mu2"):
         column = lambda sp: sp.pinch
@@ -408,7 +410,6 @@ def pinching_scan(chart: ImmersionChart, grid: GridSpec = GridSpec(),
     pts, _ = grid_points(chart, grid)
     values = np.concatenate([column(point_data(chart, u).spectrum) for u, _ in _sweep(chart, grid)])
     if quantity == "R_plus_mu2":
-        # pinch + (R + mu_2) = n^2 - 1 pointwise
         values = (n * n - 1.0) - values
     return ScanResult(quantity, pts, values, float(values.min()), float(values.max()))
 

@@ -1,15 +1,17 @@
 """Shared random generators, subprocess environment and reference kernels
 for the test suite."""
 
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 
 from minleg import symmat
-from minleg.geometry import DegeneratePointError
+from minleg.geometry import DegeneratePointError, point_data
 from minleg.lu_inequality import MatrixFamily
 from minleg.symmat import frobenius_inner, frobenius_norm
+from minleg.verify import grid_points
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -140,3 +142,28 @@ def reference_sym_eigen(a):
     values = np.take_along_axis(values, order, axis=1)
     vectors = np.take_along_axis(q, order[:, None, :], axis=2)
     return values.reshape(batch + (n,)), vectors.reshape(batch + (n, n))
+
+
+# ---- quadrature references -------------------------------------------------------
+
+
+def midpoint_reference(chart, spec):
+    """(p1, volume) by the midpoint rule in its earlier form: one scalar cell
+    volume prod(span / count) for every point, and point_data on the rows of
+    grid_points in point stacks of 64."""
+    cell = math.prod(iv.span / c for iv, c in zip(chart.domain, spec.resolve(chart.dim)))
+    pts, _ = grid_points(chart, spec)
+    parts = []
+    for i in range(0, len(pts), 64):
+        pd = point_data(chart, pts[i:i + 64])
+        parts.append((pd.spectrum.lambdas, pd.spectrum.normB2, pd.frame.vol))
+    lambdas, normB2, vol = (np.concatenate(column) for column in zip(*parts))
+    integrand = lambdas[:, 0] * (chart.dim + 1.0 - normB2 - lambdas[:, 1])
+    return float(np.sum(integrand * vol * cell)), float(np.sum(vol * cell))
+
+
+def calabi_volume(n):
+    """Volume of the Calabi torus S^1 x S^(n-1) of the zoo:
+    2 pi sqrt(n) (n/(n+1))^((n-1)/2) vol S^(n-1)."""
+    sphere = 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
+    return 2.0 * math.pi * math.sqrt(n) * (n / (n + 1.0)) ** ((n - 1) / 2) * sphere

@@ -870,5 +870,4 @@ def test_point_data_consistent_with_parts():
     row = point_data(chart, np.concatenate([u[None], _points(chart, 2, seed=24)]))
     assert np.array_equal(pd.frame.e.shape, row.frame.e.shape[1:])
     assert np.max(np.abs(pd.sigma - row.sigma[0])) < 1e-15
-    assert np.max(np.abs(pd.smatrix - fundamental_matrix(pd.sigma))) < 1e-15
     assert abs(pd.spectrum.pinch - 4.0) < 1e-9

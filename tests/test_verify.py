@@ -6,7 +6,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from minleg import NumericalFailure, geometry, json_text, verify, zoo
+from _helpers import calabi_volume, midpoint_reference
+from minleg import NumericalFailure, cli, geometry, json_text, verify, zoo
 from minleg.geometry import (
     DegeneratePointError,
     ImmersionChart,
@@ -545,6 +546,47 @@ def test_drivers_share_one_sweep(monkeypatch):
                 scan = pinching_scan(chart, spec, quantity=quantity)
                 assert report.spectra[f"{quantity}_min"].hex() == scan.vmin.hex(), (entry.name, quantity)
                 assert report.spectra[f"{quantity}_max"].hex() == scan.vmax.hex(), (entry.name, quantity)
+
+
+def test_sweeps_match_the_midpoint_reference():
+    # every sweep box carries its grid points' product weights from grid_axes
+    # (verify's extra rows get none), which together are grid_points' weights,
+    # and every quadrature keeps the bits of the midpoint rule with one scalar
+    # cell volume: on the roster, and on grids of 3, 81 and 64 boxes
+    cases = [*((entry, 8) for entry in zoo.default_entries()), (zoo.equivariant_sphere3(), 16),
+             (zoo.calabi_torus(8), 3), (zoo.calabi_torus(13), 2)]
+    for entry, grid in cases:
+        chart, spec = entry.chart, GridSpec(points_per_dim=grid)
+        _, wts = grid_points(chart, spec)
+        boxes = list(verify._sweep(chart, spec))
+        assert [w.size for _, w in boxes] == [math.prod(np.broadcast_shapes(*(x.shape for x in u))) for u, _ in boxes]
+        for sweep in (boxes, verify._sweep(chart, spec, sample_points(chart, 3, seed=0))):
+            assert np.concatenate([w for _, w in sweep]).tobytes() == wts.tobytes(), entry.name
+        p1, volume = (x.hex() for x in midpoint_reference(chart, spec))
+        assert (integral_p1(chart, spec).hex(), chart_volume(chart, spec).hex()) == (p1, volume), entry.name
+        if grid == 8 or chart.dim == 8:
+            report = verify_chart(entry, spec)
+            assert (report.integrals["p1"].hex(), report.integrals["volume"].hex()) == (p1, volume), entry.name
+
+
+def test_calabi_volume_closed_form():
+    # every axis of the Calabi chart at n = 2 is periodic, where the midpoint
+    # rule is spectrally accurate, so it meets the closed form to rounding
+    exact = calabi_volume(2)
+    for grid in (4, 8):
+        volume = chart_volume(zoo.calabi_torus(2).chart, GridSpec(points_per_dim=grid))
+        assert abs(volume - exact) <= 1e-14 * exact, grid
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP direction 9")
+def test_verify_passes_no_wrong_volume(capsys):
+    # under the cap, calabi n=13 gets 2 midpoint nodes per axis, and a passing
+    # report states a volume of 0.003125 against 171.92: a report that passes
+    # must state the volume to the quadrature tolerance
+    rc = cli.main(["verify", "--example", "calabi", "--n", "13", "--grid", "2", "--no-timing"])
+    out = capsys.readouterr().out
+    exact = calabi_volume(13)
+    assert rc != 0 or abs(json.loads(out)["integrals"]["volume"] - exact) <= Tolerances.quadrature * exact
 
 
 @pytest.mark.parametrize("seed", [0, 7])

@@ -51,7 +51,9 @@ The roster:
 - ``verify --no-timing`` on equivariant-s3 at the default grid, 16^3 points
   in boxes of 1280, 1280 and 1536, so that its curvature samples ride with
   a last box larger than the others;
-- ``zoo list``.
+- ``zoo list``;
+- ``scan --quantity lambda_2 --csv`` on calabi n=8 at grid 3: 81 sweep boxes
+  at the batch floor, where the other scan lines span one box or two.
 
     python3 tools/bytecheck.py --kernels
 
@@ -137,6 +139,8 @@ ROSTER = (
     + [["verify", "--no-timing", "--example", "flat-torus", "--n", "3", "--grid", "4", "--seed", "0"]]
     + [["verify", "--no-timing", "--example", "equivariant-s3", "--seed", "0"]]
     + [["zoo", "list"]]
+    + [["scan", "--example", "calabi", "--n", "8", "--grid", "3", "--quantity", "lambda_2",
+        "--csv", "{dir}/scan-n8.csv"]]
 )
 
 
